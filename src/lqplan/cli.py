@@ -177,15 +177,6 @@ def _cmd_counsel(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    dictionary = _load_dict(args.dict)
-    profile = LearnerProfile(known=_parse_kfs(args.known), target=_parse_kfs(args.target))
-    trace = backward_resolve(profile, dictionary, config=CoverConfig())
-    graph = build_digraph(trace.solution, dictionary, profile)
-    sys.stdout.write(digraph_to_dot(graph, dictionary))
-    return EXIT_OK
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec = GenSpec(
         seed=args.seed,
@@ -239,7 +230,7 @@ def _build_parser() -> _Parser:
     p_graph.add_argument("--known", default="")
     p_graph.add_argument("--target", required=True)
     p_graph.add_argument("--format", choices=["dot"], default="dot")
-    p_graph.set_defaults(handler=_cmd_graph)
+    p_graph.set_defaults(handler=_cmd_plan, cloud=None, metric="count", mode="exact", strict_residual=False)
 
     p_gen = sub.add_parser("gen", help="generate a dictionary/profile fixture pair")
     p_gen.add_argument("--seed", type=int, required=True)

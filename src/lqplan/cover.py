@@ -21,7 +21,6 @@ from .model import (
     LearnerQuantum,
     MinimalityMetric,
     closure_over,
-    effective_targets,
 )
 
 GLOBAL_SEARCH_BOUND = 20
@@ -56,14 +55,18 @@ class IterationRecord:
 
     ``prereq_union`` is everything the newly selected quanta require;
     ``residual`` is the part of that still unaccounted for, which the next
-    round must cover. ``index`` starts at 1.
+    round must cover. ``index`` starts at 1; ``k`` is the size of the
+    selection.
     """
 
     index: int
     selected: frozenset[str]
-    k: int
     prereq_union: KFSet
     residual: KFSet
+
+    @property
+    def k(self) -> int:
+        return len(self.selected)
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,10 @@ class SolutionTrace:
 
     iterations: tuple[IterationRecord, ...]
     solution: tuple[str, ...]
-    cardinality: int
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.solution)
 
 
 @dataclass(frozen=True)
@@ -321,8 +327,6 @@ def _exact_cover(
         for i in branch_options:
             search(covered | cover_mask[i], allowed & ~banned & ~(1 << i), chosen + [i], weight + weights[i])
             banned |= 1 << i
-    # Note: `allowed & ~banned` must exclude options tried earlier at this
-    # node, so the mask passed down bans them as the loop advances.
 
     search(0, all_allowed, [], 0)
     return frozenset(q.id for q in best_set)
@@ -347,14 +351,14 @@ def backward_resolve(
     if not profile.target:
         raise ValueError("planning query requires a non-empty target set")
     candidates = dictionary.scoped(scope)
-    wanted = effective_targets(profile)
+    wanted = profile.target - profile.known
     if not wanted:
-        return SolutionTrace((), (), 0)
+        return SolutionTrace((), ())
     attainable = closure_over(profile.known, candidates)
     if not wanted <= attainable:
         raise Infeasible(0, wanted - attainable)
 
-    by_id = {q.id: q for q in candidates}
+    by_id = dictionary.by_id
     acquired: frozenset[str] = frozenset()
     selected_ids: set[str] = set()
     solution: list[str] = []
@@ -376,11 +380,11 @@ def backward_resolve(
         residual = prereq_union - profile.known
         if config.reuse_acquired_objectives:
             residual -= acquired
-        iterations.append(IterationRecord(index, frozenset(picked), len(picked), prereq_union, residual))
+        iterations.append(IterationRecord(index, frozenset(picked), prereq_union, residual))
         selected_ids |= picked
         solution.extend(picked_sorted)
         wanted = residual
-    return SolutionTrace(tuple(iterations), tuple(solution), len(solution))
+    return SolutionTrace(tuple(iterations), tuple(solution))
 
 
 def global_optimal_plan(
@@ -399,7 +403,7 @@ def global_optimal_plan(
     candidates = sorted(dictionary.scoped(scope), key=lambda q: q.id)
     if len(candidates) > GLOBAL_SEARCH_BOUND:
         raise TooLarge(len(candidates), GLOBAL_SEARCH_BOUND)
-    wanted = effective_targets(profile)
+    wanted = profile.target - profile.known
     if not wanted:
         return frozenset()
 

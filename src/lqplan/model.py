@@ -76,11 +76,6 @@ class MinimalityMetric(Enum):
         return quantum.cost
 
 
-def kfset(items: Iterable[str]) -> KFSet:
-    """Build a knowledge-factor set from any iterable of tokens."""
-    return frozenset(items)
-
-
 @dataclass(frozen=True)
 class LearnerQuantum:
     """One unit of study material.
@@ -268,6 +263,11 @@ def _parse_json(source: Source) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("input nests too deeply") from exc
+    except ValueError as exc:
+        # an integer literal longer than the interpreter's digit limit
+        raise ParseError(str(exc)) from exc
 
 
 def _require_object(doc: object, where: str, allowed: frozenset[str]) -> dict:
@@ -436,13 +436,3 @@ def closure_over(known: Iterable[str], quanta: Iterable[LearnerQuantum]) -> KFSe
                 if missing[waiter] == 0:
                     ready.append(waiter)
     return frozenset(held)
-
-
-def kf_closure(known: Iterable[str], dictionary: LQDictionary, scope: str | None = None) -> KFSet:
-    """Closure of ``known`` under the dictionary (or one cloud of it)."""
-    return closure_over(known, dictionary.scoped(scope))
-
-
-def effective_targets(profile: LearnerProfile) -> KFSet:
-    """The target KFs the learner does not already hold."""
-    return profile.target - profile.known

@@ -38,7 +38,10 @@ class Plan:
     stages: tuple[tuple[str, ...], ...]
     total_duration_minutes: int
     total_cost: int
-    lq_count: int
+
+    @property
+    def lq_count(self) -> int:
+        return sum(len(stage) for stage in self.stages)
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,6 @@ def topo_schedule(graph: PrereqDigraph, dictionary: LQDictionary) -> Plan:
         stages=tuple(stages),
         total_duration_minutes=duration,
         total_cost=cost,
-        lq_count=placed,
     )
 
 

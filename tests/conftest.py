@@ -14,8 +14,7 @@ from lqplan.model import (
 KF_POOL = tuple(f"k{i}" for i in range(1, 8))
 
 
-@pytest.fixture
-def d1() -> LQDictionary:
+def make_d1() -> LQDictionary:
     """Three quanta over four KFs; C covers the target in one hop."""
     return LQDictionary(
         subject="d1",
@@ -28,14 +27,12 @@ def d1() -> LQDictionary:
     )
 
 
-@pytest.fixture
-def d1_prime(d1: LQDictionary) -> LQDictionary:
+def make_d1_prime() -> LQDictionary:
     """D1 without C, forcing the two-step A-then-B resolution."""
-    return LQDictionary(subject="d1-prime", quanta=d1.quanta[:2])
+    return LQDictionary(subject="d1-prime", quanta=make_d1().quanta[:2])
 
 
-@pytest.fixture
-def xy_pair() -> LQDictionary:
+def make_xy_pair() -> LQDictionary:
     """Two quanta that each require what the other delivers."""
     return LQDictionary(
         subject="xy",
@@ -46,8 +43,7 @@ def xy_pair() -> LQDictionary:
     )
 
 
-@pytest.fixture
-def cycle_trap() -> tuple[LQDictionary, LearnerProfile]:
+def make_cycle_trap() -> tuple[LQDictionary, LearnerProfile]:
     """A dictionary where resolution succeeds but scheduling cannot.
 
     Z keeps the closure check happy (everything is reachable through it),
@@ -64,6 +60,26 @@ def cycle_trap() -> tuple[LQDictionary, LearnerProfile]:
     )
     profile = LearnerProfile(known=frozenset(), target=frozenset({"t1", "t2"}))
     return dictionary, profile
+
+
+@pytest.fixture
+def d1() -> LQDictionary:
+    return make_d1()
+
+
+@pytest.fixture
+def d1_prime() -> LQDictionary:
+    return make_d1_prime()
+
+
+@pytest.fixture
+def xy_pair() -> LQDictionary:
+    return make_xy_pair()
+
+
+@pytest.fixture
+def cycle_trap() -> tuple[LQDictionary, LearnerProfile]:
+    return make_cycle_trap()
 
 
 @pytest.fixture

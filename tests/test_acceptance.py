@@ -31,7 +31,7 @@ from lqplan.model import (
     LearnerQuantum,
     LQPlanError,
     MinimalityMetric,
-    kf_closure,
+    closure_over,
     serialize_dictionary,
 )
 from lqplan.sequence import CycleDetected, build_digraph, simulate_plan, topo_schedule
@@ -180,7 +180,7 @@ def test_criterion_5_infeasibility_completeness(capsys, tmp_path):
         dictionary, profile = generate(
             GenSpec(seed=seed, lq_count=lqs, kf_count=kfs, flavor=Flavor.INFEASIBLE)
         )
-        closure_agrees = not profile.target <= kf_closure(profile.known, dictionary)
+        closure_agrees = not profile.target <= closure_over(profile.known, dictionary.scoped())
         try:
             backward_resolve(profile, dictionary)
             library_raises = False
@@ -337,7 +337,7 @@ def test_criterion_8_scale_smoke(capsys):
     dictionary, generated_profile = generate(GenSpec(seed=2026, lq_count=1000, kf_count=800))
     # the generated target is tiny; demand a broad slice of the attainable
     # KFs so the greedy plan actually has to chain through the dictionary
-    attainable = sorted(kf_closure(generated_profile.known, dictionary) - generated_profile.known)
+    attainable = sorted(closure_over(generated_profile.known, dictionary.scoped()) - generated_profile.known)
     profile = LearnerProfile(known=generated_profile.known, target=frozenset(attainable[::8]))
     assert len(profile.target) > 50
     start = time.perf_counter()

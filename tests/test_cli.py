@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,10 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "lqplan", *argv], capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -64,6 +69,27 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == 2
         assert "invalid input" in err
+
+    def test_deep_nesting_is_invalid_input(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        result = run_module("validate", str(path))
+        assert result.returncode == 2
+        assert "invalid input" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no integer digit limit"
+    )
+    def test_oversized_integer_is_invalid_input(self, tmp_path, d1_file):
+        path = tmp_path / "huge.json"
+        text = Path(d1_file).read_text()
+        assert '"cost": 5\n' in text
+        path.write_text(text.replace('"cost": 5\n', '"cost": ' + "9" * 5000 + "\n"))
+        result = run_module("validate", str(path))
+        assert result.returncode == 2
+        assert "invalid input" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.json"))

@@ -16,8 +16,7 @@ from lqplan.model import (
     SchemaError,
     UnknownCloud,
     UnknownLQ,
-    effective_targets,
-    kf_closure,
+    closure_over,
     load_dictionary,
     parse_dictionary,
     parse_profile,
@@ -190,33 +189,27 @@ def test_serialize_round_trip_random(d):
 
 def test_closure_frozen_values(d1):
     # hand-checked: k1 unlocks A and C, A's k2 unlocks B
-    assert kf_closure({"k1"}, d1) == frozenset({"k1", "k2", "k3", "k4"})
-    assert kf_closure(frozenset(), d1) == frozenset()
-    assert kf_closure({"k2"}, d1) == frozenset({"k2", "k3"})
+    assert closure_over({"k1"}, d1.scoped()) == frozenset({"k1", "k2", "k3", "k4"})
+    assert closure_over(frozenset(), d1.scoped()) == frozenset()
+    assert closure_over({"k2"}, d1.scoped()) == frozenset({"k2", "k3"})
 
 
 def test_closure_scoped(d1):
     scoped = LQDictionary(subject=d1.subject, quanta=d1.quanta, clouds=(LQCloud("ab", frozenset({"A", "B"})),))
-    assert kf_closure({"k1"}, scoped, scope="ab") == frozenset({"k1", "k2", "k3"})
+    assert closure_over({"k1"}, scoped.scoped("ab")) == frozenset({"k1", "k2", "k3"})
 
 
 @given(quanta_lists(), st.frozensets(st.sampled_from(KF_POOL), max_size=4))
 @settings(max_examples=100)
 def test_closure_matches_rescan_oracle(quanta, known):
     d = LQDictionary(subject="prop", quanta=quanta)
-    assert kf_closure(known, d) == closure_by_rescan(known, quanta)
+    assert closure_over(known, d.scoped()) == closure_by_rescan(known, quanta)
 
 
 @given(quanta_lists(), st.frozensets(st.sampled_from(KF_POOL), max_size=4))
 @settings(max_examples=60)
 def test_closure_is_monotone_and_idempotent(quanta, known):
     d = LQDictionary(subject="prop", quanta=quanta)
-    closed = kf_closure(known, d)
+    closed = closure_over(known, d.scoped())
     assert known <= closed
-    assert kf_closure(closed, d) == closed
-
-
-def test_effective_targets():
-    p = LearnerProfile(known={"k1", "k2"}, target={"k2", "k3"})
-    assert effective_targets(p) == frozenset({"k3"})
-    assert effective_targets(LearnerProfile(known={"k1"}, target={"k1"})) == frozenset()
+    assert closure_over(closed, d.scoped()) == closed

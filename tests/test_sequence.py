@@ -99,14 +99,14 @@ def test_resolution_can_still_produce_a_cycle(cycle_trap):
 
 
 def test_simulate_pass(d1_prime):
-    plan = Plan(stages=(("A",), ("B",)), total_duration_minutes=75, total_cost=12, lq_count=2)
+    plan = Plan(stages=(("A",), ("B",)), total_duration_minutes=75, total_cost=12)
     verdict = simulate_plan(plan, d1_prime, PROFILE_K1_K3)
     assert verdict.ok
     assert verdict.known_after == frozenset({"k1", "k2", "k3"})
 
 
 def test_simulate_fail_names_first_offender(d1_prime):
-    plan = Plan(stages=(("B",), ("A",)), total_duration_minutes=75, total_cost=12, lq_count=2)
+    plan = Plan(stages=(("B",), ("A",)), total_duration_minutes=75, total_cost=12)
     verdict = simulate_plan(plan, d1_prime, PROFILE_K1_K3)
     assert not verdict.ok
     assert verdict.stage == 1
@@ -115,14 +115,14 @@ def test_simulate_fail_names_first_offender(d1_prime):
 
 
 def test_simulate_same_stage_objectives_do_not_feed_each_other(d1_prime):
-    plan = Plan(stages=(("A", "B"),), total_duration_minutes=75, total_cost=12, lq_count=2)
+    plan = Plan(stages=(("A", "B"),), total_duration_minutes=75, total_cost=12)
     verdict = simulate_plan(plan, d1_prime, PROFILE_K1_K3)
     assert not verdict.ok
     assert (verdict.stage, verdict.lq_id) == (1, "B")
 
 
 def test_simulate_missed_target(d1):
-    plan = Plan(stages=(("A",),), total_duration_minutes=30, total_cost=5, lq_count=1)
+    plan = Plan(stages=(("A",),), total_duration_minutes=30, total_cost=5)
     verdict = simulate_plan(plan, d1, PROFILE_K1_K3)
     assert not verdict.ok
     assert verdict.stage is None
@@ -130,7 +130,7 @@ def test_simulate_missed_target(d1):
 
 
 def test_simulate_empty_plan_when_target_known(d1):
-    plan = Plan(stages=(), total_duration_minutes=0, total_cost=0, lq_count=0)
+    plan = Plan(stages=(), total_duration_minutes=0, total_cost=0)
     assert simulate_plan(plan, d1, LearnerProfile(known={"k1"}, target={"k1"})).ok
 
 
