@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import (
     KFSet,
@@ -24,6 +24,7 @@ from .model import (
 )
 
 GLOBAL_SEARCH_BOUND = 20
+MAX_EXACT_CANDIDATES = 25
 
 
 class CoverMode(Enum):
@@ -38,15 +39,14 @@ class CoverConfig:
     ``reuse_acquired_objectives`` controls whether KFs delivered by
     already-selected quanta count as held when computing later residuals;
     switching it off follows the strictest reading of backward chaining,
-    at the price of occasionally redundant picks or dead ends.
-    ``max_exact_candidates`` caps the branch-and-bound pool size; larger
-    pools must use greedy mode.
+    at the price of occasionally redundant picks or dead ends. Exact
+    mode refuses a pool of more than ``MAX_EXACT_CANDIDATES`` relevant
+    candidates; greedy mode has no cap.
     """
 
     metric: MinimalityMetric = MinimalityMetric.COUNT
     mode: CoverMode = CoverMode.EXACT
     reuse_acquired_objectives: bool = True
-    max_exact_candidates: int = 25
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,11 @@ def minimal_cover(
     overshoot the minimum. Exact minimality is over covers with no
     free-riding member (dropping a zero-weight unit that contributes no
     coverage is never worse under the key's first two components).
+
+    Both solvers see the pool as integers: each KF in the targets or in
+    a member's unmet prerequisites gets one bit (in sorted order), and
+    each member is its target mask, its weight and its unmet-prerequisite
+    mask. Pool members are identified by position in the id-sorted pool.
     """
     targets = frozenset(targets)
     known = frozenset(known)
@@ -195,141 +200,104 @@ def minimal_cover(
         coverable |= q.objectives & targets
     if coverable != targets:
         raise NoCover(targets - coverable)
-    if config.mode is CoverMode.GREEDY:
-        return _greedy_cover(targets, pool, known, config.metric)
-    if len(pool) > config.max_exact_candidates:
-        raise ExactTooLarge(len(pool), config.max_exact_candidates)
-    return _exact_cover(targets, pool, known, config.metric)
+    exact = config.mode is CoverMode.EXACT
+    if exact and len(pool) > MAX_EXACT_CANDIDATES:
+        raise ExactTooLarge(len(pool), MAX_EXACT_CANDIDATES)
+
+    kfs = sorted(targets.union(*(q.prerequisites for q in pool)) - known)
+    bit_of = {kf: 1 << i for i, kf in enumerate(kfs)}
+
+    def mask_of(group: KFSet) -> int:
+        return sum(bit_of[kf] for kf in group)
+
+    full = mask_of(targets)
+    masks = [mask_of(q.objectives & targets) for q in pool]
+    weights = [config.metric.weight(q) for q in pool]
+    needs = [mask_of(q.prerequisites - known) for q in pool]
+    picked = _greedy_cover(full, masks, weights, needs)
+    if exact:
+        picked = _exact_cover(full, masks, weights, needs, picked)
+    return frozenset(pool[i].id for i in picked)
 
 
-def _greedy_cover(
-    targets: KFSet,
-    pool: Sequence[LearnerQuantum],
-    known: KFSet,
-    metric: MinimalityMetric,
-) -> frozenset[str]:
-    remaining = set(targets)
-    chosen: list[LearnerQuantum] = []
-    chosen_ids: set[str] = set()
+def _greedy_cover(full: int, masks: list[int], weights: list[int], needs: list[int]) -> list[int]:
+    """Chvátal's rule: take the most targets per unit of weight, then the
+    fewest unmet prerequisites, then the lowest pool index (smallest id)."""
+    unmet = [need.bit_count() for need in needs]
+    remaining = full
+    chosen: list[int] = []
     while remaining:
-        best: LearnerQuantum | None = None
+        best = -1
         best_gain = 0
         best_weight = 1
-        best_unmet = 0
-        for q in pool:
-            if q.id in chosen_ids:
-                continue
-            gain = len(q.objectives & remaining)
+        for i, mask in enumerate(masks):
+            gain = (mask & remaining).bit_count()
             if gain == 0:
                 continue
             # Ratio comparison by cross-multiplication keeps this in exact
             # integer arithmetic; a zero weight counts as 1 here so the
             # ratio stays defined (the exact solver still sums it as 0).
-            weight = metric.weight(q) or 1
-            unmet = len(q.prerequisites - known)
-            if best is None:
-                better = True
-            elif gain * best_weight != best_gain * weight:
-                better = gain * best_weight > best_gain * weight
-            elif unmet != best_unmet:
-                better = unmet < best_unmet
-            else:
-                better = q.id < best.id
-            if better:
-                best, best_gain, best_weight, best_unmet = q, gain, weight, unmet
-        if best is None:
-            raise NoCover(frozenset(remaining))
+            weight = weights[i] or 1
+            if best >= 0:
+                ours, theirs = gain * best_weight, best_gain * weight
+                if ours < theirs or (ours == theirs and unmet[i] >= unmet[best]):
+                    continue
+            best, best_gain, best_weight = i, gain, weight
         chosen.append(best)
-        chosen_ids.add(best.id)
-        remaining -= best.objectives
-    return frozenset(chosen_ids)
+        remaining &= ~masks[best]
+    return chosen
 
 
 def _exact_cover(
-    targets: KFSet,
-    pool: Sequence[LearnerQuantum],
-    known: KFSet,
-    metric: MinimalityMetric,
-) -> frozenset[str]:
-    """Branch and bound over the candidate pool.
+    full: int, masks: list[int], weights: list[int], needs: list[int], incumbent: list[int]
+) -> list[int]:
+    """Branch and bound over the candidate pool, seeded with the greedy pick.
 
-    Targets are mapped to bit positions so coverage tests are single mask
-    operations. Branching is on the uncovered target with the fewest
-    usable candidates; the i-th option is explored with all earlier
-    options banned, which partitions the search space and visits every
-    cover that has no free-riding member exactly once. A branch is cut
-    only when its weight lower bound strictly exceeds the incumbent, so
-    equal-weight covers survive for the tie-break comparison at the leaf.
+    Branching is on the uncovered target with the fewest usable
+    candidates; the i-th option is explored with all earlier options
+    banned, which partitions the search space and visits every cover that
+    has no free-riding member exactly once. A branch is cut only when its
+    weight lower bound (the dearest of the uncovered targets' cheapest
+    options) strictly exceeds the incumbent, so equal-weight covers
+    survive for the tie-break comparison at the leaf. Leaves compare the
+    selection key: weight, unmet prerequisites, then sorted indices, which
+    order like the sorted ids because the pool is sorted by id.
     """
-    target_list = sorted(targets)
-    bit_of = {kf: i for i, kf in enumerate(target_list)}
-    full = (1 << len(target_list)) - 1
+    target_bits = [1 << b for b in range(full.bit_length()) if full >> b & 1]
+    suppliers = [[i for i, mask in enumerate(masks) if mask & bit] for bit in target_bits]
 
-    cover_mask = []
-    weights = []
-    for q in pool:
-        mask = 0
-        for kf in q.objectives & targets:
-            mask |= 1 << bit_of[kf]
-        cover_mask.append(mask)
-        weights.append(metric.weight(q))
+    def key(chosen: list[int]) -> tuple[int, int, tuple[int, ...]]:
+        need = 0
+        for i in chosen:
+            need |= needs[i]
+        return sum(weights[i] for i in chosen), need.bit_count(), tuple(sorted(chosen))
 
-    greedy_ids = _greedy_cover(targets, pool, known, metric)
-    best_set = [q for q in pool if q.id in greedy_ids]
-    best_key = _selection_key(best_set, known, metric)
-
-    n = len(pool)
-    all_allowed = (1 << n) - 1
-
-    def candidates_for(bit: int, allowed: int) -> list[int]:
-        return [i for i in range(n) if allowed >> i & 1 and cover_mask[i] >> bit & 1]
-
-    def bound(covered: int, allowed: int) -> int | None:
-        worst = 0
-        for bit in range(len(target_list)):
-            if covered >> bit & 1:
-                continue
-            cheapest = None
-            for i in range(n):
-                if allowed >> i & 1 and cover_mask[i] >> bit & 1:
-                    w = weights[i]
-                    if cheapest is None or w < cheapest:
-                        cheapest = w
-                        if w == 0:
-                            break
-            if cheapest is None:
-                return None
-            worst = max(worst, cheapest)
-        return worst
+    best_key = key(incumbent)
 
     def search(covered: int, allowed: int, chosen: list[int], weight: int) -> None:
-        nonlocal best_key, best_set
+        nonlocal best_key
         if covered == full:
-            selection = [pool[i] for i in chosen]
-            key = _selection_key(selection, known, metric)
-            if key < best_key:
-                best_key = key
-                best_set = selection
+            best_key = min(best_key, key(chosen))
             return
-        extra = bound(covered, allowed)
-        if extra is None or weight + extra > best_key[0]:
-            return
-        branch_bit = -1
-        branch_options: list[int] = []
-        for bit in range(len(target_list)):
-            if covered >> bit & 1:
+        extra = 0
+        branch_options: list[int] | None = None
+        for bit, options in zip(target_bits, suppliers):
+            if covered & bit:
                 continue
-            options = candidates_for(bit, allowed)
-            if branch_bit < 0 or len(options) < len(branch_options):
-                branch_bit = bit
+            options = [i for i in options if allowed >> i & 1]
+            if not options:
+                return
+            extra = max(extra, min(weights[i] for i in options))
+            if branch_options is None or len(options) < len(branch_options):
                 branch_options = options
-        banned = 0
+        if weight + extra > best_key[0]:
+            return
         for i in branch_options:
-            search(covered | cover_mask[i], allowed & ~banned & ~(1 << i), chosen + [i], weight + weights[i])
-            banned |= 1 << i
+            allowed &= ~(1 << i)  # bans i here and in every later sibling
+            search(covered | masks[i], allowed, chosen + [i], weight + weights[i])
 
-    search(0, all_allowed, [], 0)
-    return frozenset(q.id for q in best_set)
+    search(0, (1 << len(masks)) - 1, [], 0)
+    return list(best_key[2])
 
 
 def backward_resolve(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -267,7 +268,7 @@ def _parse_json(source: Source) -> object:
         raise ParseError("input nests too deeply") from exc
     except ValueError as exc:
         # an integer literal longer than the interpreter's digit limit
-        raise ParseError(str(exc)) from exc
+        raise ParseError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def _require_object(doc: object, where: str, allowed: frozenset[str]) -> dict:

@@ -54,7 +54,15 @@ def min_cover_weight(
     return best
 
 
-def _pref_key(subset: Sequence[LearnerQuantum], known: KFSet, metric: MinimalityMetric):
+def is_irredundant(subset: Sequence[LearnerQuantum], targets: KFSet) -> bool:
+    """True if no member of the cover can be dropped with the rest still covering."""
+    return all(
+        not targets <= frozenset().union(*(other.objectives for other in subset if other is not q))
+        for q in subset
+    )
+
+
+def selection_key(subset: Sequence[LearnerQuantum], known: KFSet, metric: MinimalityMetric):
     unmet: set[str] = set()
     for q in subset:
         unmet |= q.prerequisites - known
@@ -78,8 +86,45 @@ def best_reachable_subset(
         for subset in combinations(quanta, size):
             if not profile.target <= closure_by_rescan(profile.known, subset):
                 continue
-            key = _pref_key(subset, profile.known, metric)
+            key = selection_key(subset, profile.known, metric)
             if best_key is None or key < best_key:
                 best_key = key
                 best = frozenset(q.id for q in subset)
     return best
+
+
+def greedy_cover(
+    targets: KFSet, candidates: Iterable[LearnerQuantum], known: KFSet, metric: MinimalityMetric
+) -> frozenset[str]:
+    """Chvátal's greedy by plain set scans over the relevant pool.
+
+    Each pick takes the most uncovered targets per unit of weight (a zero
+    weight counts as 1), then the fewest prerequisites outside ``known``,
+    then the smallest id. The targets must be coverable.
+    """
+    pool = relevant_pool(targets, candidates)
+    remaining = set(targets)
+    chosen: set[str] = set()
+    while remaining:
+        best = None
+        for q in pool:
+            if q.id in chosen:
+                continue
+            gain = len(q.objectives & remaining)
+            if gain == 0:
+                continue
+            weight = metric.weight(q) or 1
+            unmet = len(q.prerequisites - known)
+            if best is None:
+                better = True
+            elif gain * best_weight != best_gain * weight:
+                better = gain * best_weight > best_gain * weight
+            elif unmet != best_unmet:
+                better = unmet < best_unmet
+            else:
+                better = q.id < best.id
+            if better:
+                best, best_gain, best_weight, best_unmet = q, gain, weight, unmet
+        chosen.add(best.id)
+        remaining -= best.objectives
+    return frozenset(chosen)

@@ -90,6 +90,7 @@ class TestValidate:
         assert result.returncode == 2
         assert "invalid input" in result.stderr
         assert "Traceback" not in result.stderr
+        assert "set_int_max_str_digits" not in result.stderr
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.json"))

@@ -27,7 +27,16 @@ from lqplan.model import (
     closure_over,
 )
 from lqplan.sequence import CycleDetected, build_digraph, topo_schedule
-from oracles import best_reachable_subset, closure_by_rescan, min_cover_weight
+from oracles import (
+    best_reachable_subset,
+    closure_by_rescan,
+    greedy_cover,
+    is_irredundant,
+    iter_covers,
+    min_cover_weight,
+    relevant_pool,
+    selection_key,
+)
 
 EXACT = CoverConfig()
 GREEDY = CoverConfig(mode=CoverMode.GREEDY)
@@ -35,6 +44,18 @@ GREEDY = CoverConfig(mode=CoverMode.GREEDY)
 
 def quanta_by_id(dictionary, ids):
     return [dictionary.quantum(lq_id) for lq_id in ids]
+
+
+def draw_targets_and_known(quanta, data):
+    """Up to three coverable targets, and a non-empty known set beside them."""
+    union = frozenset().union(*(q.objectives for q in quanta))
+    targets = data.draw(
+        st.frozensets(st.sampled_from(sorted(union)), min_size=1, max_size=3)
+    )
+    known = data.draw(
+        st.frozensets(st.sampled_from(sorted(frozenset(KF_POOL) - targets)), min_size=1)
+    )
+    return targets, known
 
 
 class TestMinimalCover:
@@ -79,10 +100,8 @@ class TestMinimalCover:
         )
         with pytest.raises(ExactTooLarge):
             minimal_cover(frozenset({"t"}), pool, frozenset(), EXACT)
-        # greedy and a raised cap both handle the same pool
+        # greedy mode has no cap and handles the same pool
         assert minimal_cover(frozenset({"t"}), pool, frozenset(), GREEDY) == frozenset({"q00"})
-        roomy = CoverConfig(max_exact_candidates=30)
-        assert minimal_cover(frozenset({"t"}), pool, frozenset(), roomy) == frozenset({"q00"})
 
     def test_irrelevant_candidates_do_not_count_toward_cap(self):
         pool = tuple(
@@ -93,18 +112,30 @@ class TestMinimalCover:
     @given(quanta_lists(), st.data())
     @settings(max_examples=120, deadline=None)
     def test_exact_weight_matches_enumeration(self, quanta, data):
-        union = frozenset().union(*(q.objectives for q in quanta))
-        targets = data.draw(
-            st.frozensets(st.sampled_from(sorted(union)), min_size=1, max_size=3)
-        )
+        targets, known = draw_targets_and_known(quanta, data)
         metric = data.draw(st.sampled_from(list(MinimalityMetric)))
         config = CoverConfig(metric=metric)
-        got = minimal_cover(targets, quanta, frozenset(), config)
+        got = minimal_cover(targets, quanta, known, config)
         by_id = {q.id: q for q in quanta}
         chosen = [by_id[i] for i in got]
         covered = frozenset().union(*(q.objectives for q in chosen)) if chosen else frozenset()
         assert targets <= covered
         assert total_weight(chosen, metric) == min_cover_weight(targets, quanta, metric)
+        # (weight, unmet) is the least over every cover; the whole key, ids
+        # included, is no worse than any cover without a droppable member
+        covers = list(iter_covers(targets, relevant_pool(targets, quanta)))
+        key = selection_key(chosen, known, metric)
+        assert key[:2] == min(selection_key(c, known, metric)[:2] for c in covers)
+        assert key <= min(selection_key(c, known, metric) for c in covers if is_irredundant(c, targets))
+
+    @pytest.mark.parametrize("metric", list(MinimalityMetric))
+    @given(quanta_lists(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_matches_oracle(self, metric, quanta, data):
+        targets, known = draw_targets_and_known(quanta, data)
+        config = CoverConfig(metric=metric, mode=CoverMode.GREEDY)
+        got = minimal_cover(targets, quanta, known, config)
+        assert got == greedy_cover(targets, quanta, known, metric)
 
     @given(quanta_lists(), st.data())
     @settings(max_examples=80, deadline=None)
