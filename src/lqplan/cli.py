@@ -45,6 +45,7 @@ EXIT_INFEASIBLE = 1
 EXIT_INVALID = 2
 EXIT_CYCLE = 3
 EXIT_USAGE = 4
+EXIT_INTERNAL = 5
 
 
 class _UsageError(Exception):
@@ -62,7 +63,7 @@ def _parse_kfs(text: str) -> frozenset[str]:
     tokens = [piece.strip() for piece in text.split(",") if piece.strip()]
     for token in tokens:
         if any(ch.isspace() for ch in token):
-            raise ValueError(f"knowledge factor {token!r} contains whitespace")
+            raise _UsageError(f"knowledge factor {token!r} contains whitespace")
     return frozenset(tokens)
 
 
@@ -84,6 +85,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _resolve(args: argparse.Namespace) -> tuple[LQDictionary, LearnerProfile, SolutionTrace, PrereqDigraph, Plan]:
     dictionary = _load_dict(args.dict)
     profile = LearnerProfile(known=_parse_kfs(args.known), target=_parse_kfs(args.target))
+    if not profile.target:
+        raise _UsageError("planning query requires a non-empty target set")
     config = CoverConfig(
         metric=MinimalityMetric(args.metric),
         mode=CoverMode(args.mode),
@@ -252,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
+    except _UsageError as exc:
+        print(f"lqplan: usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ParseError, SchemaError) as exc:
         print(f"lqplan: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -261,12 +267,15 @@ def main(argv: list[str] | None = None) -> int:
     except CycleDetected as exc:
         print(f"lqplan: {exc}", file=sys.stderr)
         return EXIT_CYCLE
-    except (ExactTooLarge, SpecInvalid, UnknownCloud, UnknownLQ, ValueError) as exc:
+    except (ExactTooLarge, SpecInvalid, UnknownCloud, UnknownLQ) as exc:
         print(f"lqplan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"lqplan: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # a bug, not a verdict on the input: keep it off exits 1-4
+        print(f"lqplan: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

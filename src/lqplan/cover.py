@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heapreplace
 from typing import Iterable
 
 from .model import (
@@ -220,31 +221,61 @@ def minimal_cover(
     return frozenset(pool[i].id for i in picked)
 
 
+@dataclass(slots=True)
+class _Offer:
+    """A pool member's heap entry: its last known gain, its weight (a zero
+    weight counts as 1, so the ratio stays defined; the exact solver still
+    sums it as 0), its unmet-prerequisite count and its pool index.
+
+    ``a < b`` means ``a`` is the better pick: more targets per unit of
+    weight, compared by cross-multiplication so it stays exact integer
+    arithmetic at any weight, then fewer unmet prerequisites, then the
+    lower index.
+    """
+
+    gain: int
+    weight: int
+    unmet: int
+    index: int
+
+    def __lt__(self, other: _Offer) -> bool:
+        ours, theirs = self.gain * other.weight, other.gain * self.weight
+        if ours != theirs:
+            return ours > theirs
+        if self.unmet != other.unmet:
+            return self.unmet < other.unmet
+        return self.index < other.index
+
+
 def _greedy_cover(full: int, masks: list[int], weights: list[int], needs: list[int]) -> list[int]:
     """Chvátal's rule: take the most targets per unit of weight, then the
-    fewest unmet prerequisites, then the lowest pool index (smallest id)."""
-    unmet = [need.bit_count() for need in needs]
+    fewest unmet prerequisites, then the lowest pool index (smallest id).
+
+    Lazy evaluation after Minoux: the heap holds each member's gain from
+    when it was last scored. Gains only shrink as targets get covered, so
+    a stale entry never ranks below its true place. The top entry is
+    re-scored; if its gain is unchanged it is the true best and is taken,
+    otherwise it goes back with its new gain, or out once it has none.
+    """
+    heap = [
+        _Offer(mask.bit_count(), weight or 1, need.bit_count(), i)
+        for i, (mask, weight, need) in enumerate(zip(masks, weights, needs))
+    ]
+    heapify(heap)
     remaining = full
     chosen: list[int] = []
     while remaining:
-        best = -1
-        best_gain = 0
-        best_weight = 1
-        for i, mask in enumerate(masks):
-            gain = (mask & remaining).bit_count()
-            if gain == 0:
-                continue
-            # Ratio comparison by cross-multiplication keeps this in exact
-            # integer arithmetic; a zero weight counts as 1 here so the
-            # ratio stays defined (the exact solver still sums it as 0).
-            weight = weights[i] or 1
-            if best >= 0:
-                ours, theirs = gain * best_weight, best_gain * weight
-                if ours < theirs or (ours == theirs and unmet[i] >= unmet[best]):
-                    continue
-            best, best_gain, best_weight = i, gain, weight
-        chosen.append(best)
-        remaining &= ~masks[best]
+        top = heap[0]
+        gain = (masks[top.index] & remaining).bit_count()
+        if gain == top.gain:
+            heappop(heap)
+            chosen.append(top.index)
+            remaining &= ~masks[top.index]
+        elif gain:
+            top.gain = gain
+            heapreplace(heap, top)
+        else:
+            heappop(heap)
     return chosen
 
 
@@ -327,6 +358,7 @@ def backward_resolve(
         raise Infeasible(0, wanted - attainable)
 
     by_id = dictionary.by_id
+    suppliers = candidates.suppliers
     acquired: frozenset[str] = frozenset()
     selected_ids: set[str] = set()
     solution: list[str] = []
@@ -334,17 +366,18 @@ def backward_resolve(
     index = 0
     while wanted:
         index += 1
-        remaining = [q for q in candidates if q.id not in selected_ids]
+        # the round's pool: every quantum delivering a wanted KF, in scope
+        # order, less those whose id is already selected
+        offered = {i for kf in wanted for i in suppliers.get(kf, ())}
+        pool = [candidates[i] for i in sorted(offered) if candidates[i].id not in selected_ids]
         held = profile.known | acquired if config.reuse_acquired_objectives else profile.known
         try:
-            picked = minimal_cover(wanted, remaining, held, config)
+            picked = minimal_cover(wanted, pool, held, config)
         except NoCover as exc:
             raise Infeasible(index, exc.uncovered) from exc
         picked_sorted = sorted(picked)
-        prereq_union = frozenset()
-        for lq_id in picked_sorted:
-            prereq_union |= by_id[lq_id].prerequisites
-            acquired |= by_id[lq_id].objectives
+        prereq_union = frozenset().union(*(by_id[lq_id].prerequisites for lq_id in picked))
+        acquired = acquired.union(*(by_id[lq_id].objectives for lq_id in picked))
         residual = prereq_union - profile.known
         if config.reuse_acquired_objectives:
             residual -= acquired
@@ -402,5 +435,5 @@ def prerequisite_gap(
     """What stands between this learner and one specific quantum."""
     quantum = dictionary.quantum(lq_id)
     missing = quantum.prerequisites - profile.known
-    satisfiable = missing <= closure_over(profile.known, dictionary.quanta)
+    satisfiable = missing <= closure_over(profile.known, dictionary.scoped())
     return GapReport(lq_id=lq_id, missing=missing, satisfiable=satisfiable)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Sequence, Union
 
 KFSet = frozenset[str]
 
@@ -110,6 +110,46 @@ class LQCloud:
         object.__setattr__(self, "member_ids", frozenset(self.member_ids))
 
 
+def _positions_by_kf(groups: Iterable[KFSet]) -> dict[str, Sequence[int]]:
+    """Map each KF to the ascending positions of the groups that hold it.
+
+    A KF held at one position maps to a one-item ``range`` instead of a
+    list. Ranges are not tracked by the cycle collector, and these maps
+    are built right after a dictionary is loaded: there, thousands of new
+    tracked lists set off a full collection over the whole dictionary.
+    """
+    positions: dict[str, Sequence[int]] = {}
+    for i, group in enumerate(groups):
+        for kf in group:
+            found = positions.get(kf)
+            if found is None:
+                positions[kf] = range(i, i + 1)
+            elif type(found) is range:
+                positions[kf] = [found[0], i]
+            else:
+                found.append(i)
+    return positions
+
+
+class Scope(tuple):
+    """The quanta one query may draw on, compiled for lookups by KF.
+
+    A ``Scope`` is a tuple of quanta, so it can stand wherever the plain
+    tuple did. Its two maps are built on first use and live as long as
+    the scope: ``suppliers`` maps a KF to the positions of the quanta
+    delivering it, ``waiters`` maps a KF to the positions of the quanta
+    requiring it and comes with each quantum's prerequisite count.
+    """
+
+    @cached_property
+    def suppliers(self) -> dict[str, Sequence[int]]:
+        return _positions_by_kf(q.objectives for q in self)
+
+    @cached_property
+    def waiters(self) -> tuple[dict[str, Sequence[int]], list[int]]:
+        return _positions_by_kf(q.prerequisites for q in self), [len(q.prerequisites) for q in self]
+
+
 @dataclass(frozen=True)
 class LQDictionary:
     """All quanta available for one subject, plus optional clouds.
@@ -143,12 +183,25 @@ class LQDictionary:
                 return c
         raise UnknownCloud(name)
 
-    def scoped(self, scope: str | None = None) -> tuple[LearnerQuantum, ...]:
-        """The candidate quanta for a query: all of them, or one cloud's."""
-        if scope is None:
-            return self.quanta
-        members = self.cloud(scope).member_ids
-        return tuple(q for q in self.quanta if q.id in members)
+    @cached_property
+    def _scopes(self) -> dict[str | None, Scope]:
+        return {}
+
+    def scoped(self, scope: str | None = None) -> Scope:
+        """The candidate quanta for a query: all of them, or one cloud's.
+
+        The result is compiled once per scope name and cached on the
+        dictionary, so every query on the same scope shares its maps.
+        """
+        compiled = self._scopes.get(scope)
+        if compiled is None:
+            if scope is None:
+                compiled = Scope(self.quanta)
+            else:
+                members = self.cloud(scope).member_ids
+                compiled = Scope(q for q in self.quanta if q.id in members)
+            self._scopes[scope] = compiled
+        return compiled
 
 
 @dataclass(frozen=True)
@@ -410,30 +463,26 @@ def closure_over(known: Iterable[str], quanta: Iterable[LearnerQuantum]) -> KFSe
     """Every KF reachable from ``known`` by repeatedly taking ready quanta.
 
     A quantum is ready once all its prerequisites are held; taking it adds
-    its objectives. This is a least fixpoint, computed with a worklist:
-    each quantum tracks how many prerequisites it still misses and fires
-    exactly once, when the count hits zero.
+    its objectives. This is a least fixpoint, computed with a worklist on
+    the scope's waiter map: each quantum counts the prerequisites it still
+    misses, every newly held KF (the known ones first) lowers the counts
+    of the quanta waiting on it, and a quantum fires exactly once, when
+    its count hits zero. A plain iterable is wrapped in a ``Scope`` first.
     """
-    quanta = list(quanta)
+    scope = quanta if isinstance(quanta, Scope) else Scope(quanta)
+    waiting_on, counts = scope.waiters
+    missing = list(counts)
     held: set[str] = set(known)
-    missing: list[int] = []
-    waiting_on: dict[str, list[int]] = {}
-    ready: list[int] = []
-    for idx, q in enumerate(quanta):
-        unmet = q.prerequisites - held
-        missing.append(len(unmet))
-        if not unmet:
-            ready.append(idx)
-        for kf in unmet:
-            waiting_on.setdefault(kf, []).append(idx)
-    while ready:
-        idx = ready.pop()
-        for kf in quanta[idx].objectives:
-            if kf in held:
-                continue
-            held.add(kf)
+    fresh: set[str] = held  # held KFs whose waiters have not been told yet
+    ready = [i for i, count in enumerate(counts) if not count]
+    while True:
+        for kf in fresh:
             for waiter in waiting_on.get(kf, ()):
                 missing[waiter] -= 1
-                if missing[waiter] == 0:
+                if not missing[waiter]:
                     ready.append(waiter)
-    return frozenset(held)
+        if not ready:
+            return frozenset(held)
+        fresh = set().union(*[scope[i].objectives for i in ready]) - held
+        held |= fresh
+        ready = []

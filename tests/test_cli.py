@@ -260,6 +260,18 @@ class TestPlan:
         assert code == 4
         assert "non-empty" in err
 
+    def test_internal_error_exits_5(self, capsys, monkeypatch, d1_file):
+        # a bug inside the planner must not pass for a usage error (4) or
+        # for an infeasible query (1)
+        def broken(*args, **kwargs):
+            raise KeyError("k3")
+
+        monkeypatch.setattr(cli, "backward_resolve", broken)
+        code, out, err = run_cli(capsys, "plan", "--dict", d1_file, "--target", "k3")
+        assert code == 5
+        assert out == ""
+        assert err == "lqplan: internal error: KeyError: 'k3'\n"
+
 
 class TestCounsel:
     def test_text(self, capsys, d1_file):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from lqplan.cover import (
     prerequisite_gap,
     total_weight,
 )
+from lqplan.generate import GenSpec, generate
 from lqplan.model import (
     LearnerProfile,
     LearnerQuantum,
@@ -46,16 +50,60 @@ def quanta_by_id(dictionary, ids):
     return [dictionary.quantum(lq_id) for lq_id in ids]
 
 
-def draw_targets_and_known(quanta, data):
+HUGE_WEIGHT = 10**15
+DENSE_KFS = tuple(f"t{i:02d}" for i in range(32))
+DENSE_PREREQS = tuple(frozenset(pair) for pair in combinations(KF_POOL[:4], 2))
+
+
+def draw_targets_and_known(quanta, draw):
     """Up to three coverable targets, and a non-empty known set beside them."""
     union = frozenset().union(*(q.objectives for q in quanta))
-    targets = data.draw(
+    targets = draw(
         st.frozensets(st.sampled_from(sorted(union)), min_size=1, max_size=3)
     )
-    known = data.draw(
+    known = draw(
         st.frozensets(st.sampled_from(sorted(frozenset(KF_POOL) - targets)), min_size=1)
     )
     return targets, known
+
+
+@st.composite
+def greedy_instances(draw):
+    """A (pool, targets, known) triple for the greedy oracle test.
+
+    Three kinds: small pools with everyday weights; the same with
+    durations and costs up to 10**15; and dense pools, where a unit with n
+    objectives weighs n * base + delta for one base near 2 * 10**13 and a
+    delta in {-1, 0, 1}, so most gain/weight ratios are equal or nearly
+    so. Every dense pool holds a pair of units with 24-30 and one more
+    objectives and the same delta: their ratios differ by about one part
+    in 10**16, below a float's resolution. Every dense unit needs two of
+    the same four KFs, so unmet counts tie too, and ids are shuffled:
+    only exact ratios and the whole tie-break chain pick right.
+    """
+    kind = draw(st.sampled_from(("everyday", "huge", "dense")))
+    if kind != "dense":
+        quanta = draw(quanta_lists())
+        if kind == "huge":
+            weights = st.integers(min_value=0, max_value=HUGE_WEIGHT)
+            quanta = tuple(replace(q, duration_minutes=draw(weights), cost=draw(weights)) for q in quanta)
+        return (quanta, *draw_targets_and_known(quanta, draw))
+    base = draw(st.integers(min_value=HUGE_WEIGHT // 64, max_value=HUGE_WEIGHT // 32 - 1))
+    n = draw(st.integers(min_value=24, max_value=30))
+    delta = draw(st.sampled_from((-1, 1)))
+    units = [(frozenset(DENSE_KFS[:n]), delta), (frozenset(DENSE_KFS[: n + 1]), delta)]
+    units += draw(st.lists(st.tuples(
+        st.frozensets(st.sampled_from(DENSE_KFS), min_size=1), st.sampled_from((-1, 0, 1))
+    ), max_size=4))
+    ids = draw(st.permutations([f"q{i}" for i in range(len(units))]))
+    quanta = tuple(
+        LearnerQuantum(lq_id, lq_id, draw(st.sampled_from(DENSE_PREREQS)), objectives,
+                       len(objectives) * base + d, len(objectives) * base + d)
+        for lq_id, (objectives, d) in zip(ids, units)
+    )
+    targets = frozenset().union(*(q.objectives for q in quanta))
+    known = draw(st.frozensets(st.sampled_from(KF_POOL[:4])))
+    return quanta, targets, known
 
 
 class TestMinimalCover:
@@ -112,7 +160,7 @@ class TestMinimalCover:
     @given(quanta_lists(), st.data())
     @settings(max_examples=120, deadline=None)
     def test_exact_weight_matches_enumeration(self, quanta, data):
-        targets, known = draw_targets_and_known(quanta, data)
+        targets, known = draw_targets_and_known(quanta, data.draw)
         metric = data.draw(st.sampled_from(list(MinimalityMetric)))
         config = CoverConfig(metric=metric)
         got = minimal_cover(targets, quanta, known, config)
@@ -129,13 +177,27 @@ class TestMinimalCover:
         assert key <= min(selection_key(c, known, metric) for c in covers if is_irredundant(c, targets))
 
     @pytest.mark.parametrize("metric", list(MinimalityMetric))
-    @given(quanta_lists(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_greedy_matches_oracle(self, metric, quanta, data):
-        targets, known = draw_targets_and_known(quanta, data)
+    @given(greedy_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_matches_oracle(self, metric, instance):
+        quanta, targets, known = instance
         config = CoverConfig(metric=metric, mode=CoverMode.GREEDY)
         got = minimal_cover(targets, quanta, known, config)
         assert got == greedy_cover(targets, quanta, known, metric)
+
+    @pytest.mark.parametrize("metric", list(MinimalityMetric))
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=30, max_value=300), st.randoms())
+    @settings(max_examples=15, deadline=None)
+    def test_greedy_matches_oracle_on_generated_pools(self, metric, seed, size, rng):
+        # Generated units share objectives (re-teaching units deliver KFs
+        # produced earlier), so picks shrink other units' gains and the
+        # lazy greedy has to re-score stale heap entries.
+        dictionary, profile = generate(GenSpec(seed=seed, lq_count=300, kf_count=200, max_objectives=4))
+        quanta = rng.sample(dictionary.quanta, size)
+        targets = frozenset().union(*(q.objectives for q in quanta)) - profile.known
+        config = CoverConfig(metric=metric, mode=CoverMode.GREEDY)
+        got = minimal_cover(targets, quanta, profile.known, config)
+        assert got == greedy_cover(targets, quanta, profile.known, metric)
 
     @given(quanta_lists(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -242,6 +304,39 @@ class TestBackwardResolve:
             )
         assert err.value.stage == 2
         assert err.value.uncovered == frozenset({"p"})
+
+    @pytest.mark.parametrize("mode", list(CoverMode))
+    def test_repeated_id_is_dropped_by_id(self, mode):
+        # A hand-built dictionary may repeat an id (load_dictionary rejects
+        # it). Picks are reported by id, the id's last unit supplies its
+        # prerequisites and objectives, and once an id is selected no unit
+        # bearing it enters a later pool: in strict mode round 3 needs p,
+        # which the second A would supply, so B and then S come in.
+        dictionary = LQDictionary(
+            subject="repeated-id",
+            quanta=(
+                LearnerQuantum("A", "first A", frozenset(), {"t", "u"}),
+                LearnerQuantum("B", "b", {"s"}, {"p"}),
+                LearnerQuantum("A", "second A", {"r"}, {"p", "q"}),
+                LearnerQuantum("R", "r", {"p"}, {"r"}),
+                LearnerQuantum("S", "s", frozenset(), {"s"}),
+            ),
+        )
+        profile = LearnerProfile(known=frozenset(), target={"t", "u"})
+
+        def rounds(trace):
+            return [(set(r.selected), set(r.prereq_union), set(r.residual)) for r in trace.iterations]
+
+        reuse = backward_resolve(profile, dictionary, config=CoverConfig(mode=mode))
+        assert rounds(reuse) == [({"A"}, {"r"}, {"r"}), ({"R"}, {"p"}, set())]
+        assert reuse.solution == ("A", "R")
+        strict = backward_resolve(
+            profile, dictionary, config=CoverConfig(mode=mode, reuse_acquired_objectives=False)
+        )
+        assert rounds(strict) == [
+            ({"A"}, {"r"}, {"r"}), ({"R"}, {"p"}, {"p"}), ({"B"}, {"s"}, {"s"}), ({"S"}, set(), set()),
+        ]
+        assert strict.solution == ("A", "R", "B", "S")
 
     @given(quanta_lists(), profiles(), st.sampled_from(["exact", "greedy"]))
     @settings(max_examples=120, deadline=None)

@@ -168,8 +168,12 @@ def test_scoping_and_lookup_errors():
     d = load_dictionary(D1_JSON)
     assert [q.id for q in d.scoped("core")] == ["A", "B"]
     assert d.scoped(None) == d.quanta
-    with pytest.raises(UnknownCloud):
-        d.scoped("nope")
+    # compiled once per scope name and cached on the dictionary
+    assert d.scoped("core") is d.scoped("core")
+    assert d.scoped() is d.scoped(None)
+    for _ in range(2):
+        with pytest.raises(UnknownCloud):
+            d.scoped("nope")
     with pytest.raises(UnknownLQ):
         d.quantum("nope")
 
@@ -199,11 +203,26 @@ def test_closure_scoped(d1):
     assert closure_over({"k1"}, scoped.scoped("ab")) == frozenset({"k1", "k2", "k3"})
 
 
-@given(quanta_lists(), st.frozensets(st.sampled_from(KF_POOL), max_size=4))
+@st.composite
+def clouded_dictionaries(draw) -> LQDictionary:
+    quanta = draw(quanta_lists())
+    ids = [q.id for q in quanta]
+    clouds = tuple(
+        LQCloud(f"c{i}", draw(st.frozensets(st.sampled_from(ids))))
+        for i in range(draw(st.integers(min_value=0, max_value=2)))
+    )
+    return LQDictionary(subject="prop", quanta=quanta, clouds=clouds)
+
+
+@given(clouded_dictionaries(), st.lists(st.frozensets(st.sampled_from(KF_POOL), max_size=4), min_size=1, max_size=3))
 @settings(max_examples=100)
-def test_closure_matches_rescan_oracle(quanta, known):
-    d = LQDictionary(subject="prop", quanta=quanta)
-    assert closure_over(known, d.scoped()) == closure_by_rescan(known, quanta)
+def test_closure_matches_rescan_oracle(d, knowns):
+    for scope in [None, *(c.name for c in d.clouds)]:
+        quanta = [q for q in d.quanta if scope is None or q.id in d.cloud(scope).member_ids]
+        # later known sets run on the maps the first one built
+        for known in knowns:
+            assert closure_over(known, d.scoped(scope)) == closure_by_rescan(known, quanta)
+        assert d.scoped(scope) is d.scoped(scope)
 
 
 @given(quanta_lists(), st.frozensets(st.sampled_from(KF_POOL), max_size=4))
