@@ -22,6 +22,7 @@ from .model import (
     LearnerQuantum,
     MinimalityMetric,
     closure_over,
+    total_weight,  # re-exported: callers import it from here too
 )
 
 GLOBAL_SEARCH_BOUND = 20
@@ -140,33 +141,37 @@ class Infeasible(LQPlanError):
         )
 
 
-def total_weight(quanta: Iterable[LearnerQuantum], metric: MinimalityMetric) -> int:
-    return sum(metric.weight(q) for q in quanta)
-
-
-def _unmet_count(quanta: Iterable[LearnerQuantum], known: KFSet) -> int:
-    unmet: set[str] = set()
-    for q in quanta:
-        unmet |= q.prerequisites - known
-    return len(unmet)
-
-
 def _selection_key(
-    chosen: Iterable[LearnerQuantum], known: KFSet, metric: MinimalityMetric
-) -> tuple[int, int, tuple[str, ...]]:
-    """The deterministic preference order for covers.
+    chosen: Iterable[int], weights: list[int], needs: list[int]
+) -> tuple[int, int, tuple[int, ...]]:
+    """The preference order for covers of an encoded pool: lighter total
+    weight, then fewer unmet prerequisite KFs, then the smaller sorted
+    index tuple (the smaller sorted ids, as pools are sorted by id). Every
+    exact selection point in this module uses this chain, so identical
+    inputs always yield identical picks."""
+    need = 0
+    for i in chosen:
+        need |= needs[i]
+    return sum(weights[i] for i in chosen), need.bit_count(), tuple(sorted(chosen))
 
-    Lighter total weight wins; among equals, fewer prerequisite KFs
-    outside ``known``; among those, the lexicographically smallest sorted
-    id sequence. Every selection point in this module uses this chain, so
-    identical inputs always yield identical picks.
-    """
-    chosen = list(chosen)
-    return (
-        total_weight(chosen, metric),
-        _unmet_count(chosen, known),
-        tuple(sorted(q.id for q in chosen)),
-    )
+
+def _encode(
+    targets: KFSet, pool: list[LearnerQuantum], known: KFSet, metric: MinimalityMetric
+) -> tuple[int, list[int], list[int], list[int]]:
+    """The pool as integers: each KF in the targets or in a member's unmet
+    prerequisites gets one bit (in sorted order), and each member becomes
+    its target mask, its weight and its unmet-prerequisite mask."""
+    kfs = sorted(targets.union(*(q.prerequisites for q in pool)) - known)
+    bit_of = {kf: 1 << i for i, kf in enumerate(kfs)}
+
+    def mask_of(group: KFSet) -> int:
+        return sum(bit_of[kf] for kf in group)
+
+    full = mask_of(targets)
+    masks = [mask_of(q.objectives & targets) for q in pool]
+    weights = [metric.weight(q) for q in pool]
+    needs = [mask_of(q.prerequisites - known) for q in pool]
+    return full, masks, weights, needs
 
 
 def minimal_cover(
@@ -184,10 +189,8 @@ def minimal_cover(
     free-riding member (dropping a zero-weight unit that contributes no
     coverage is never worse under the key's first two components).
 
-    Both solvers see the pool as integers: each KF in the targets or in
-    a member's unmet prerequisites gets one bit (in sorted order), and
-    each member is its target mask, its weight and its unmet-prerequisite
-    mask. Pool members are identified by position in the id-sorted pool.
+    Both solvers see the pool as ``_encode`` gives it and identify its
+    members by position in the id-sorted pool.
     """
     targets = frozenset(targets)
     known = frozenset(known)
@@ -205,16 +208,7 @@ def minimal_cover(
     if exact and len(pool) > MAX_EXACT_CANDIDATES:
         raise ExactTooLarge(len(pool), MAX_EXACT_CANDIDATES)
 
-    kfs = sorted(targets.union(*(q.prerequisites for q in pool)) - known)
-    bit_of = {kf: 1 << i for i, kf in enumerate(kfs)}
-
-    def mask_of(group: KFSet) -> int:
-        return sum(bit_of[kf] for kf in group)
-
-    full = mask_of(targets)
-    masks = [mask_of(q.objectives & targets) for q in pool]
-    weights = [config.metric.weight(q) for q in pool]
-    needs = [mask_of(q.prerequisites - known) for q in pool]
+    full, masks, weights, needs = _encode(targets, pool, known, config.metric)
     picked = _greedy_cover(full, masks, weights, needs)
     if exact:
         picked = _exact_cover(full, masks, weights, needs, picked)
@@ -290,25 +284,18 @@ def _exact_cover(
     has no free-riding member exactly once. A branch is cut only when its
     weight lower bound (the dearest of the uncovered targets' cheapest
     options) strictly exceeds the incumbent, so equal-weight covers
-    survive for the tie-break comparison at the leaf. Leaves compare the
-    selection key: weight, unmet prerequisites, then sorted indices, which
-    order like the sorted ids because the pool is sorted by id.
+    survive for the tie-break comparison at the leaf, where covers are
+    ranked by ``_selection_key``.
     """
     target_bits = [1 << b for b in range(full.bit_length()) if full >> b & 1]
     suppliers = [[i for i, mask in enumerate(masks) if mask & bit] for bit in target_bits]
 
-    def key(chosen: list[int]) -> tuple[int, int, tuple[int, ...]]:
-        need = 0
-        for i in chosen:
-            need |= needs[i]
-        return sum(weights[i] for i in chosen), need.bit_count(), tuple(sorted(chosen))
-
-    best_key = key(incumbent)
+    best_key = _selection_key(incumbent, weights, needs)
 
     def search(covered: int, allowed: int, chosen: list[int], weight: int) -> None:
         nonlocal best_key
         if covered == full:
-            best_key = min(best_key, key(chosen))
+            best_key = min(best_key, _selection_key(chosen, weights, needs))
             return
         extra = 0
         branch_options: list[int] | None = None
@@ -400,6 +387,11 @@ def global_optimal_plan(
     most ``GLOBAL_SEARCH_BOUND`` quanta). Exists as a comparison point:
     round-by-round resolution minimises each round in isolation, which
     this function does not, and the gap between the two is observable.
+
+    Subsets are ranked by ``_selection_key``; only a would-be best is
+    checked for reachability. The B&B cannot replace the enumeration: it
+    visits only irredundant covers of the targets, and the optimum may
+    hold units that only supply prerequisites, or zero-weight free riders.
     """
     candidates = sorted(dictionary.scoped(scope), key=lambda q: q.id)
     if len(candidates) > GLOBAL_SEARCH_BOUND:
@@ -408,25 +400,24 @@ def global_optimal_plan(
     if not wanted:
         return frozenset()
 
-    best_key: tuple[int, int, tuple[str, ...]] | None = None
-    best: frozenset[str] | None = None
+    full, masks, weights, needs = _encode(wanted, candidates, profile.known, metric)
+    best_key: tuple[int, int, tuple[int, ...]] | None = None
     n = len(candidates)
-    for mask in range(1 << n):
-        subset = [candidates[i] for i in range(n) if mask >> i & 1]
-        pooled = frozenset()
-        for q in subset:
-            pooled |= q.objectives
-        if not wanted <= pooled:
+    for subset in range(1 << n):
+        chosen = [i for i in range(n) if subset >> i & 1]
+        covered = 0
+        for i in chosen:
+            covered |= masks[i]
+        if covered != full:
             continue
-        if not profile.target <= closure_over(profile.known, subset):
+        key = _selection_key(chosen, weights, needs)
+        if best_key is not None and key >= best_key:
             continue
-        key = _selection_key(subset, profile.known, metric)
-        if best_key is None or key < best_key:
+        if profile.target <= closure_over(profile.known, [candidates[i] for i in chosen]):
             best_key = key
-            best = frozenset(q.id for q in subset)
-    if best is None:
+    if best_key is None:
         raise Infeasible(0, profile.target - closure_over(profile.known, candidates))
-    return best
+    return frozenset(candidates[i].id for i in best_key[2])
 
 
 def prerequisite_gap(

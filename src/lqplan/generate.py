@@ -31,6 +31,9 @@ _TOPICS = (
 )
 
 _SEED_MAX = 2**64 - 1
+# Generation time grows with the square of the unit count; the cap is
+# twice the largest instance the scale tests plan for (50k units).
+_COUNT_MAX = 100_000
 
 
 class SpecInvalid(LQPlanError):
@@ -60,6 +63,10 @@ def _check(spec: GenSpec) -> None:
         raise SpecInvalid(f"lq_count must be at least 1, got {spec.lq_count}")
     if spec.kf_count < 2:
         raise SpecInvalid(f"kf_count must be at least 2, got {spec.kf_count}")
+    if spec.lq_count > _COUNT_MAX:
+        raise SpecInvalid(f"lq_count must be at most {_COUNT_MAX}, got {spec.lq_count}")
+    if spec.kf_count > _COUNT_MAX:
+        raise SpecInvalid(f"kf_count must be at most {_COUNT_MAX}, got {spec.kf_count}")
     if spec.max_prereqs < 0:
         raise SpecInvalid(f"max_prereqs must be non-negative, got {spec.max_prereqs}")
     if spec.max_objectives < 1:

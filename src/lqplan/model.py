@@ -77,6 +77,10 @@ class MinimalityMetric(Enum):
         return quantum.cost
 
 
+def total_weight(quanta: Iterable["LearnerQuantum"], metric: MinimalityMetric) -> int:
+    return sum(metric.weight(q) for q in quanta)
+
+
 @dataclass(frozen=True)
 class LearnerQuantum:
     """One unit of study material.
@@ -230,6 +234,15 @@ class Finding:
     message: str
 
 
+def _sorted_tokens(values: Iterable[object]) -> list:
+    """Sorted as usual. A code-built set that mixes strings with other
+    values cannot be, so it lists the strings first, then the rest by repr."""
+    try:
+        return sorted(values)
+    except TypeError:
+        return sorted(values, key=lambda v: (False, v) if isinstance(v, str) else (True, repr(v)))
+
+
 def _check_token(findings: list[Finding], code: str, subject: str, value: str, what: str) -> None:
     if not isinstance(value, str) or not _TOKEN_RE.match(value):
         findings.append(
@@ -259,7 +272,7 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
         if q.id in seen_ids:
             findings.append(Finding("error", "duplicate-id", q.id, "LQ id defined more than once"))
         seen_ids.add(q.id)
-        for kf in sorted(q.prerequisites | q.objectives):
+        for kf in _sorted_tokens(q.prerequisites | q.objectives):
             _check_token(findings, "bad-kf", q.id, kf, "knowledge factor")
         if not q.objectives:
             findings.append(Finding("error", "empty-objectives", q.id, "objectives must be non-empty"))
@@ -272,7 +285,7 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
         overlap = q.prerequisites & q.objectives
         if overlap:
             severity = "error" if strict else "warning"
-            listed = ", ".join(sorted(overlap))
+            listed = ", ".join(map(str, _sorted_tokens(overlap)))
             findings.append(
                 Finding(severity, "prereq-objective-overlap", q.id,
                         f"listed as both prerequisite and objective: {listed}")
@@ -283,7 +296,7 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
         if c.name in seen_clouds:
             findings.append(Finding("error", "duplicate-cloud-name", c.name, "cloud defined more than once"))
         seen_clouds.add(c.name)
-        for member in sorted(c.member_ids):
+        for member in _sorted_tokens(c.member_ids):
             if member not in dictionary.by_id:
                 findings.append(
                     Finding("error", "dangling-cloud-member", c.name, f"member {member!r} is not a defined LQ")
@@ -311,10 +324,24 @@ def _decode(source: Source) -> str:
     return raw
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` object hook: a repeated key is an error, not a
+    silent overwrite. Raises ``ParseError`` itself, because a
+    ``ValueError`` would be reported as an oversized integer."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def _parse_json(source: Source) -> object:
     text = _decode(source)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import KFSet, LQDictionary, LQPlanError, LearnerProfile
+from .model import KFSet, LQDictionary, LQPlanError, LearnerProfile, MinimalityMetric, total_weight
 
 
 @dataclass(frozen=True)
@@ -162,17 +162,11 @@ def topo_schedule(graph: PrereqDigraph, dictionary: LQDictionary) -> Plan:
     if placed < len(graph.nodes):
         leftover = {n for n in graph.nodes if in_degree[n] > 0}
         raise CycleDetected(_find_cycle(leftover, graph.edges))
-    duration = 0
-    cost = 0
-    for stage in stages:
-        for lq_id in stage:
-            q = dictionary.quantum(lq_id)
-            duration += q.duration_minutes
-            cost += q.cost
+    quanta = [dictionary.quantum(lq_id) for stage in stages for lq_id in stage]
     return Plan(
         stages=tuple(stages),
-        total_duration_minutes=duration,
-        total_cost=cost,
+        total_duration_minutes=total_weight(quanta, MinimalityMetric.DURATION),
+        total_cost=total_weight(quanta, MinimalityMetric.COST),
     )
 
 

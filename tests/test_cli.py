@@ -70,6 +70,17 @@ class TestValidate:
         assert code == 2
         assert "invalid input" in err
 
+    def test_duplicate_key_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "dup-key.json"
+        path.write_text(
+            '{"subject": "s", "quanta": [{"id": "A", "id": "B", "title": "t",'
+            ' "prerequisites": [], "objectives": ["k1"]}]}'
+        )
+        for argv in (("validate", str(path)), ("plan", "--dict", str(path), "--target", "k1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "lqplan: invalid input: duplicate key 'id'\n"
+
     def test_deep_nesting_is_invalid_input(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
@@ -353,6 +364,13 @@ class TestGen:
             capsys, "gen", "--seed", "1", "--lqs", "5", "--kfs", "8",
             "--flavor", "weird", "--out", str(tmp_path / "y"),
         )[0] == 4
+        for lqs, kfs, needle in (("100001", "8", "lq_count"), ("5", "100001", "kf_count")):
+            code, _, err = run_cli(
+                capsys, "gen", "--seed", "1", "--lqs", lqs, "--kfs", kfs, "--out", str(tmp_path / "z"),
+            )
+            assert code == 4
+            assert f"{needle} must be at most 100000" in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_module_entry_point_matches_in_process(capsys, d1_file):

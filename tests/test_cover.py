@@ -21,7 +21,7 @@ from lqplan.cover import (
     prerequisite_gap,
     total_weight,
 )
-from lqplan.generate import GenSpec, generate
+from lqplan.generate import Flavor, GenSpec, generate
 from lqplan.model import (
     LearnerProfile,
     LearnerQuantum,
@@ -396,16 +396,33 @@ class TestGlobalOptimalPlan:
         with pytest.raises(TooLarge):
             global_optimal_plan(LearnerProfile(target={"t"}), d)
 
+    @staticmethod
+    def check_against_oracle(profile, dictionary, scope, metric):
+        expected = best_reachable_subset(profile, dictionary.scoped(scope), metric)
+        if expected is None:
+            with pytest.raises(Infeasible):
+                global_optimal_plan(profile, dictionary, scope, metric)
+        else:
+            assert global_optimal_plan(profile, dictionary, scope, metric) == expected
+
     @given(quanta_lists(max_quanta=5), profiles(), st.sampled_from(list(MinimalityMetric)))
     @settings(max_examples=60, deadline=None)
     def test_matches_enumeration_oracle(self, quanta, profile, metric):
         dictionary = LQDictionary(subject="prop", quanta=quanta)
-        expected = best_reachable_subset(profile, quanta, metric)
-        if expected is None:
-            with pytest.raises(Infeasible):
-                global_optimal_plan(profile, dictionary, metric=metric)
-        else:
-            assert global_optimal_plan(profile, dictionary, metric=metric) == expected
+        self.check_against_oracle(profile, dictionary, None, metric)
+
+    @pytest.mark.parametrize("metric", list(MinimalityMetric))
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_matches_enumeration_oracle_on_generated(self, flavor, metric):
+        # 6-12 units over few KFs, so several units supply the same KF and
+        # zero costs tie weights; the generated known set is non-empty, so
+        # the unmet-prerequisite count breaks some of those ties.
+        for seed in range(14):
+            size = 6 + seed % 7
+            spec = GenSpec(seed=seed, lq_count=size, kf_count=2 + size // 2, flavor=flavor)
+            dictionary, profile = generate(spec)
+            for scope in [None] + [c.name for c in dictionary.clouds]:
+                self.check_against_oracle(profile, dictionary, scope, metric)
 
     @given(quanta_lists(), profiles(), st.sampled_from(list(MinimalityMetric)))
     @settings(max_examples=60, deadline=None)

@@ -94,6 +94,21 @@ def test_structural_schema_errors(mutate, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "parse, text, key",
+    [
+        (parse_dictionary, D1_JSON.replace(b'{"id": "A",', b'{"id": "A", "id": "Z",'), "id"),
+        (parse_dictionary, D1_JSON.replace(b'"subject"', b'"subject": "x", "subject"'), "subject"),
+        (parse_dictionary, D1_JSON.replace(b'{"core": ["A", "B"]}', b'{"core": ["A"], "core": ["B"]}'), "core"),
+        (parse_profile, b'{"known": [], "target": ["k1"], "target": ["k2"]}', "target"),
+    ],
+)
+def test_duplicate_keys_are_parse_errors(parse, text, key):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"duplicate key {key!r}"
+
+
 def test_load_rejects_semantic_errors():
     doc = json.loads(D1_JSON)
     doc["quanta"].append(dict(doc["quanta"][0]))  # duplicate id A
@@ -139,10 +154,22 @@ def test_validate_flags_code_built_problems():
             LearnerQuantum("A", "t", frozenset(), frozenset({"k1"}), duration_minutes=-1),
             LearnerQuantum("A", "t2", frozenset(), frozenset()),
             LearnerQuantum("bad id", "t3", frozenset(), frozenset({"k 2"})),
+            LearnerQuantum("B", "t4", frozenset({1, "k1"}), frozenset({1, None, "k3"})),
         ),
-        clouds=(LQCloud("c", frozenset({"A", "missing"})), LQCloud("c", frozenset())),
+        clouds=(LQCloud("c", frozenset({"A", "missing", 1, None})), LQCloud("c", frozenset())),
     )
-    codes = {f.code for f in validate_dictionary(d)}
+    findings = validate_dictionary(d)
+    assert [f.message for f in findings if f.subject == "B"] == [
+        "knowledge factor 1 is not a whitespace-free token",
+        "knowledge factor None is not a whitespace-free token",
+        "listed as both prerequisite and objective: 1",
+    ]
+    assert [f.message for f in findings if f.code == "dangling-cloud-member"] == [
+        "member 'missing' is not a defined LQ",
+        "member 1 is not a defined LQ",
+        "member None is not a defined LQ",
+    ]
+    codes = {f.code for f in findings}
     assert codes == {
         "bad-duration",
         "duplicate-id",
@@ -151,6 +178,7 @@ def test_validate_flags_code_built_problems():
         "bad-kf",
         "dangling-cloud-member",
         "duplicate-cloud-name",
+        "prereq-objective-overlap",
     }
 
 
