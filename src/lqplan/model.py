@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence, Union
 
 KFSet = frozenset[str]
 
-_TOKEN_RE = re.compile(r"^\S+$")
+_TOKEN_RE = re.compile(r"\S+")  # always used with fullmatch
 
 _TOP_LEVEL_KEYS = frozenset({"subject", "clouds", "quanta"})
 _QUANTUM_KEYS = frozenset(
@@ -151,7 +151,12 @@ class Scope(tuple):
 
     @cached_property
     def waiters(self) -> tuple[dict[str, Sequence[int]], list[int]]:
-        return _positions_by_kf(q.prerequisites for q in self), [len(q.prerequisites) for q in self]
+        return _waiters(self)
+
+
+def _waiters(quanta: Sequence[LearnerQuantum]) -> tuple[dict[str, Sequence[int]], list[int]]:
+    """The waiter map of ``quanta`` and each quantum's prerequisite count."""
+    return _positions_by_kf(q.prerequisites for q in quanta), [len(q.prerequisites) for q in quanta]
 
 
 @dataclass(frozen=True)
@@ -243,11 +248,37 @@ def _sorted_tokens(values: Iterable[object]) -> list:
         return sorted(values, key=lambda v: (False, v) if isinstance(v, str) else (True, repr(v)))
 
 
-def _check_token(findings: list[Finding], code: str, subject: str, value: str, what: str) -> None:
-    if not isinstance(value, str) or not _TOKEN_RE.match(value):
-        findings.append(
-            Finding("error", code, subject, f"{what} {value!r} is not a whitespace-free token")
-        )
+def _is_token(value: object) -> bool:
+    return isinstance(value, str) and _TOKEN_RE.fullmatch(value) is not None
+
+
+def _bad_token(code: str, subject: object, value: object, what: str) -> Finding:
+    return Finding("error", code, subject, f"{what} {value!r} is not a whitespace-free token")
+
+
+def _named(value: object) -> str:
+    """A bad id or cloud name as the subject of its own finding."""
+    return value if isinstance(value, str) else repr(value)
+
+
+def _is_repeat(seen: set, value: object) -> bool:
+    """Whether ``value`` is already in ``seen``, which it then joins. An
+    unhashable value, reported as a bad token already, is never a repeat."""
+    try:
+        repeat = value in seen
+    except TypeError:
+        return False
+    seen.add(value)
+    return repeat
+
+
+# the cross-entity errors, which validate_dictionary and load_dictionary share
+_DUPLICATE_ID = "LQ id defined more than once"
+_NO_OBJECTIVES = "objectives must be non-empty"
+
+
+def _dangling(member: object) -> str:
+    return f"member {member!r} is not a defined LQ"
 
 
 def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> list[Finding]:
@@ -263,19 +294,30 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
       - every cloud member resolves to a defined LQ
 
     A dictionary built in code never went through the file parser, so type
-    and token checks are repeated here rather than trusted.
+    and token checks are repeated here rather than trusted. Each distinct
+    KF is matched once per call, and a unit's KFs are sorted only to list
+    the ones that fail.
     """
     findings: list[Finding] = []
-    seen_ids: set[str] = set()
+    tokens: set[str] = set()  # KFs already found to be tokens
+    seen_ids: set = set()
     for q in dictionary.quanta:
-        _check_token(findings, "bad-id", q.id if isinstance(q.id, str) else repr(q.id), q.id, "id")
-        if q.id in seen_ids:
-            findings.append(Finding("error", "duplicate-id", q.id, "LQ id defined more than once"))
-        seen_ids.add(q.id)
-        for kf in _sorted_tokens(q.prerequisites | q.objectives):
-            _check_token(findings, "bad-kf", q.id, kf, "knowledge factor")
+        if not _is_token(q.id):
+            findings.append(_bad_token("bad-id", _named(q.id), q.id, "id"))
+        if _is_repeat(seen_ids, q.id):
+            findings.append(Finding("error", "duplicate-id", q.id, _DUPLICATE_ID))
+        kfs = q.prerequisites | q.objectives
+        if not kfs <= tokens:
+            bad = {kf for kf in kfs - tokens if not _is_token(kf)}
+            tokens.update(kfs - bad)
+            if bad:  # in the order of all the unit's KFs: a mixed-type set sorts by repr
+                findings.extend(
+                    _bad_token("bad-kf", q.id, kf, "knowledge factor")
+                    for kf in _sorted_tokens(kfs)
+                    if kf in bad
+                )
         if not q.objectives:
-            findings.append(Finding("error", "empty-objectives", q.id, "objectives must be non-empty"))
+            findings.append(Finding("error", "empty-objectives", q.id, _NO_OBJECTIVES))
         for attr, code in (("duration_minutes", "bad-duration"), ("cost", "bad-cost")):
             value = getattr(q, attr)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -290,17 +332,15 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
                 Finding(severity, "prereq-objective-overlap", q.id,
                         f"listed as both prerequisite and objective: {listed}")
             )
-    seen_clouds: set[str] = set()
+    seen_clouds: set = set()
     for c in dictionary.clouds:
-        _check_token(findings, "bad-cloud-name", c.name, c.name, "cloud name")
-        if c.name in seen_clouds:
+        if not _is_token(c.name):
+            findings.append(_bad_token("bad-cloud-name", _named(c.name), c.name, "cloud name"))
+        if _is_repeat(seen_clouds, c.name):
             findings.append(Finding("error", "duplicate-cloud-name", c.name, "cloud defined more than once"))
-        seen_clouds.add(c.name)
         for member in _sorted_tokens(c.member_ids):
-            if member not in dictionary.by_id:
-                findings.append(
-                    Finding("error", "dangling-cloud-member", c.name, f"member {member!r} is not a defined LQ")
-                )
+            if member not in seen_ids:
+                findings.append(Finding("error", "dangling-cloud-member", c.name, _dangling(member)))
     return findings
 
 
@@ -372,18 +412,28 @@ def _require_str(doc: dict, where: str, key: str) -> str:
 def _require_token(value: object, where: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(where, f"expected a string, got {type(value).__name__}")
-    if not _TOKEN_RE.match(value):
+    if not _TOKEN_RE.fullmatch(value):
         raise SchemaError(where, f"{value!r} is not a whitespace-free token")
     return value
 
 
-def _token_list(doc: dict, where: str, key: str) -> frozenset[str]:
+def _tokens(items: list, where: str, tokens: set[str]) -> frozenset[str]:
+    """The items as a set, each required to be a token. ``tokens`` holds the
+    strings this parse has accepted so far: they are not checked again, and
+    newly accepted ones join them. The first bad item, in list order, raises."""
+    for i, item in enumerate(items):
+        if not (isinstance(item, str) and item in tokens):
+            tokens.add(_require_token(item, f"{where}[{i}]"))
+    return frozenset(items)
+
+
+def _token_list(doc: dict, where: str, key: str, tokens: set[str]) -> frozenset[str]:
     if key not in doc:
         raise SchemaError(f"{where}.{key}", "missing required key")
     value = doc[key]
     if not isinstance(value, list):
         raise SchemaError(f"{where}.{key}", f"expected a list, got {type(value).__name__}")
-    return frozenset(_require_token(item, f"{where}.{key}[{i}]") for i, item in enumerate(value))
+    return _tokens(value, f"{where}.{key}", tokens)
 
 
 def _optional_count(doc: dict, where: str, key: str) -> int:
@@ -400,10 +450,12 @@ def _optional_count(doc: dict, where: str, key: str) -> int:
 def parse_dictionary(source: Source) -> LQDictionary:
     """Parse dictionary JSON, checking structure only.
 
-    Shape, types, tokens and unknown keys are enforced here; cross-entity
-    rules (duplicate ids, dangling cloud members, ...) are left to
-    ``validate_dictionary`` so a validation front end can list them all.
+    Shape, types, tokens and unknown keys are enforced here, each distinct
+    token string matched once; cross-entity rules (duplicate ids, dangling
+    cloud members, ...) are left to ``load_dictionary`` and
+    ``validate_dictionary``, so a validation front end can list them all.
     """
+    tokens: set[str] = set()
     doc = _require_object(_parse_json(source), "", _TOP_LEVEL_KEYS)
     subject = _require_str(doc, "$", "subject")
     if "quanta" not in doc:
@@ -419,8 +471,8 @@ def parse_dictionary(source: Source) -> LQDictionary:
             LearnerQuantum(
                 id=_require_token(_require_str(entry, where, "id"), f"{where}.id"),
                 title=_require_str(entry, where, "title"),
-                prerequisites=_token_list(entry, where, "prerequisites"),
-                objectives=_token_list(entry, where, "objectives"),
+                prerequisites=_token_list(entry, where, "prerequisites", tokens),
+                objectives=_token_list(entry, where, "objectives", tokens),
                 duration_minutes=_optional_count(entry, where, "duration_minutes"),
                 cost=_optional_count(entry, where, "cost"),
             )
@@ -434,32 +486,44 @@ def parse_dictionary(source: Source) -> LQDictionary:
         _require_token(name, where)
         if not isinstance(members, list):
             raise SchemaError(where, f"expected a list, got {type(members).__name__}")
-        clouds.append(
-            LQCloud(name, frozenset(_require_token(m, f"{where}[{i}]") for i, m in enumerate(members)))
-        )
+        clouds.append(LQCloud(name, _tokens(members, where, tokens)))
     return LQDictionary(subject=subject, quanta=tuple(quanta), clouds=tuple(clouds))
 
 
 def load_dictionary(source: Source) -> LQDictionary:
     """Parse and fully validate a dictionary, raising on the first error.
 
+    The parser enforces every rule on a single value, and a file cannot
+    name a cloud twice, so only the rules relating entries are left: in
+    quanta order, unique ids and non-empty objectives; then, cloud by
+    cloud in sorted member order, defined members. The error raised is
+    the first one ``validate_dictionary`` would report, word for word.
+
     Warnings (for example prerequisite/objective overlap) do not block
     loading; use ``validate_dictionary`` directly to inspect them.
     """
     dictionary = parse_dictionary(source)
-    for finding in validate_dictionary(dictionary):
-        if finding.severity == "error":
-            raise SchemaError(finding.subject, finding.message)
+    ids: set[str] = set()
+    for q in dictionary.quanta:
+        if q.id in ids:
+            raise SchemaError(q.id, _DUPLICATE_ID)
+        ids.add(q.id)
+        if not q.objectives:
+            raise SchemaError(q.id, _NO_OBJECTIVES)
+    for c in dictionary.clouds:
+        if not c.member_ids <= ids:
+            raise SchemaError(c.name, _dangling(min(c.member_ids - ids)))
     return dictionary
 
 
 def parse_profile(source: Source) -> LearnerProfile:
     """Parse learner-profile JSON with ``known`` and ``target`` KF lists."""
     doc = _require_object(_parse_json(source), "", _PROFILE_KEYS)
-    known = _token_list(doc, "$", "known") if "known" in doc else frozenset()
+    tokens: set[str] = set()
+    known = _token_list(doc, "$", "known", tokens) if "known" in doc else frozenset()
     if "target" not in doc:
         raise SchemaError("$.target", "missing required key")
-    return LearnerProfile(known=known, target=_token_list(doc, "$", "target"))
+    return LearnerProfile(known=known, target=_token_list(doc, "$", "target", tokens))
 
 
 def serialize_dictionary(dictionary: LQDictionary) -> bytes:
@@ -494,10 +558,15 @@ def closure_over(known: Iterable[str], quanta: Iterable[LearnerQuantum]) -> KFSe
     the scope's waiter map: each quantum counts the prerequisites it still
     misses, every newly held KF (the known ones first) lowers the counts
     of the quanta waiting on it, and a quantum fires exactly once, when
-    its count hits zero. A plain iterable is wrapped in a ``Scope`` first.
+    its count hits zero. A ``Scope`` keeps its waiter map between calls;
+    for any other iterable the map is built for this call alone.
     """
-    scope = quanta if isinstance(quanta, Scope) else Scope(quanta)
-    waiting_on, counts = scope.waiters
+    if isinstance(quanta, Scope):
+        scope = quanta
+        waiting_on, counts = scope.waiters
+    else:
+        scope = list(quanta)
+        waiting_on, counts = _waiters(scope)
     missing = list(counts)
     held: set[str] = set(known)
     fresh: set[str] = held  # held KFs whose waiters have not been told yet

@@ -1,16 +1,28 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here favors obviousness over speed: closure by repeated full
-rescans, covers by exhaustive subset enumeration. None of it imports the
-algorithms under test beyond the plain data types.
+rescans, covers by exhaustive subset enumeration, a dictionary load that
+parses and then runs every validation rule. None of it imports the
+algorithms under test beyond the plain data types and the JSON decoding.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from lqplan.model import KFSet, LearnerProfile, LearnerQuantum, MinimalityMetric
+from lqplan.model import (
+    Finding,
+    KFSet,
+    LearnerProfile,
+    LearnerQuantum,
+    LQCloud,
+    LQDictionary,
+    MinimalityMetric,
+    SchemaError,
+    _parse_json,
+)
 
 
 def closure_by_rescan(known: Iterable[str], quanta: Iterable[LearnerQuantum]) -> KFSet:
@@ -128,3 +140,165 @@ def greedy_cover(
         chosen.add(best.id)
         remaining -= best.objectives
     return frozenset(chosen)
+
+
+# -- two-pass dictionary load ------------------------------------------------
+#
+# The parser and validator as they stood before the one-pass load: the
+# parser checks every token of every list, the validator checks every
+# token again and sorts every unit's KFs, and a load raises the
+# validator's first error. The one change is the token pattern, which
+# here matches the whole string (``^\S+$`` also accepted a trailing
+# newline).
+
+_TOKEN_RE = re.compile(r"\S+")
+_TOP_LEVEL_KEYS = frozenset({"subject", "clouds", "quanta"})
+_QUANTUM_KEYS = frozenset(
+    {"id", "title", "prerequisites", "objectives", "duration_minutes", "cost"}
+)
+
+
+def _sorted_tokens(values: Iterable[object]) -> list:
+    try:
+        return sorted(values)
+    except TypeError:
+        return sorted(values, key=lambda v: (False, v) if isinstance(v, str) else (True, repr(v)))
+
+
+def _check_token(findings: list[Finding], code: str, subject: str, value: str, what: str) -> None:
+    if not isinstance(value, str) or not _TOKEN_RE.fullmatch(value):
+        findings.append(
+            Finding("error", code, subject, f"{what} {value!r} is not a whitespace-free token")
+        )
+
+
+def validate_two_pass(dictionary: LQDictionary, *, strict: bool = False) -> list[Finding]:
+    findings: list[Finding] = []
+    seen_ids: set[str] = set()
+    for q in dictionary.quanta:
+        _check_token(findings, "bad-id", q.id if isinstance(q.id, str) else repr(q.id), q.id, "id")
+        if q.id in seen_ids:
+            findings.append(Finding("error", "duplicate-id", q.id, "LQ id defined more than once"))
+        seen_ids.add(q.id)
+        for kf in _sorted_tokens(q.prerequisites | q.objectives):
+            _check_token(findings, "bad-kf", q.id, kf, "knowledge factor")
+        if not q.objectives:
+            findings.append(Finding("error", "empty-objectives", q.id, "objectives must be non-empty"))
+        for attr, code in (("duration_minutes", "bad-duration"), ("cost", "bad-cost")):
+            value = getattr(q, attr)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                findings.append(
+                    Finding("error", code, q.id, f"{attr} must be a non-negative integer, got {value!r}")
+                )
+        overlap = q.prerequisites & q.objectives
+        if overlap:
+            severity = "error" if strict else "warning"
+            listed = ", ".join(map(str, _sorted_tokens(overlap)))
+            findings.append(
+                Finding(severity, "prereq-objective-overlap", q.id,
+                        f"listed as both prerequisite and objective: {listed}")
+            )
+    seen_clouds: set[str] = set()
+    for c in dictionary.clouds:
+        _check_token(findings, "bad-cloud-name", c.name, c.name, "cloud name")
+        if c.name in seen_clouds:
+            findings.append(Finding("error", "duplicate-cloud-name", c.name, "cloud defined more than once"))
+        seen_clouds.add(c.name)
+        for member in _sorted_tokens(c.member_ids):
+            if member not in dictionary.by_id:
+                findings.append(
+                    Finding("error", "dangling-cloud-member", c.name, f"member {member!r} is not a defined LQ")
+                )
+    return findings
+
+
+def _require_object(doc: object, where: str, allowed: frozenset[str]) -> dict:
+    if not isinstance(doc, dict):
+        raise SchemaError(where, f"expected an object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in allowed:
+            raise SchemaError(f"{where}.{key}" if where else key, "unknown key")
+    return doc
+
+
+def _require_str(doc: dict, where: str, key: str) -> str:
+    if key not in doc:
+        raise SchemaError(f"{where}.{key}", "missing required key")
+    value = doc[key]
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}.{key}", f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _require_token(value: object, where: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(where, f"expected a string, got {type(value).__name__}")
+    if not _TOKEN_RE.fullmatch(value):
+        raise SchemaError(where, f"{value!r} is not a whitespace-free token")
+    return value
+
+
+def _token_list(doc: dict, where: str, key: str) -> frozenset[str]:
+    if key not in doc:
+        raise SchemaError(f"{where}.{key}", "missing required key")
+    value = doc[key]
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}.{key}", f"expected a list, got {type(value).__name__}")
+    return frozenset(_require_token(item, f"{where}.{key}[{i}]") for i, item in enumerate(value))
+
+
+def _optional_count(doc: dict, where: str, key: str) -> int:
+    if key not in doc:
+        return 0
+    value = doc[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{where}.{key}", f"expected an integer, got {type(value).__name__}")
+    if value < 0:
+        raise SchemaError(f"{where}.{key}", f"must be non-negative, got {value}")
+    return value
+
+
+def parse_two_pass(source) -> LQDictionary:
+    doc = _require_object(_parse_json(source), "", _TOP_LEVEL_KEYS)
+    subject = _require_str(doc, "$", "subject")
+    if "quanta" not in doc:
+        raise SchemaError("$.quanta", "missing required key")
+    raw_quanta = doc["quanta"]
+    if not isinstance(raw_quanta, list):
+        raise SchemaError("$.quanta", f"expected a list, got {type(raw_quanta).__name__}")
+    quanta = []
+    for i, item in enumerate(raw_quanta):
+        where = f"$.quanta[{i}]"
+        entry = _require_object(item, where, _QUANTUM_KEYS)
+        quanta.append(
+            LearnerQuantum(
+                id=_require_token(_require_str(entry, where, "id"), f"{where}.id"),
+                title=_require_str(entry, where, "title"),
+                prerequisites=_token_list(entry, where, "prerequisites"),
+                objectives=_token_list(entry, where, "objectives"),
+                duration_minutes=_optional_count(entry, where, "duration_minutes"),
+                cost=_optional_count(entry, where, "cost"),
+            )
+        )
+    clouds = []
+    raw_clouds = doc.get("clouds", {})
+    if not isinstance(raw_clouds, dict):
+        raise SchemaError("$.clouds", f"expected an object, got {type(raw_clouds).__name__}")
+    for name, members in raw_clouds.items():
+        where = f"$.clouds.{name}"
+        _require_token(name, where)
+        if not isinstance(members, list):
+            raise SchemaError(where, f"expected a list, got {type(members).__name__}")
+        clouds.append(
+            LQCloud(name, frozenset(_require_token(m, f"{where}[{i}]") for i, m in enumerate(members)))
+        )
+    return LQDictionary(subject=subject, quanta=tuple(quanta), clouds=tuple(clouds))
+
+
+def load_two_pass(source) -> LQDictionary:
+    """Parse, then run every validation rule and raise the first error."""
+    dictionary = parse_two_pass(source)
+    for finding in validate_two_pass(dictionary):
+        if finding.severity == "error":
+            raise SchemaError(finding.subject, finding.message)
+    return dictionary

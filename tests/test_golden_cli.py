@@ -1,4 +1,4 @@
-"""Golden CLI corpus: the exact bytes of about 340 in-process CLI runs.
+"""Golden CLI corpus: the exact bytes of about 350 in-process CLI runs.
 
 Each case maps a path-free name to the SHA-256 of its exit code, stdout
 and stderr, so any change in what the CLI prints or returns shows up as a
@@ -23,6 +23,7 @@ import io
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,16 @@ def corpus_cases(dict_dir: Path) -> dict[str, list[str]]:
             cases[f"plan {prefix} dot"] = base + ["--format", "dot"]
             if cloud is None:
                 cases[f"graph {prefix}"] = ["graph", "--dict", str(path), "--known", known, "--target", target]
+    # a token with a trailing newline is no token: every load refuses it
+    a, b, c = make_d1().quanta
+    for dict_name, quanta in (
+        ("newline-id", (replace(a, id="A\n"), b, c)),
+        ("newline-kf", (a, b, replace(c, prerequisites={"k1\n"}))),
+    ):
+        path = dict_dir / f"{dict_name}.json"
+        path.write_bytes(serialize_dictionary(LQDictionary(subject=dict_name, quanta=quanta)))
+        cases[f"validate {dict_name}"] = ["validate", str(path)]
+        cases[f"plan {dict_name}/k1-k3 text"] = ["plan", "--dict", str(path), "--known", "k1", "--target", "k3"]
     return cases
 
 

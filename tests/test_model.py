@@ -182,6 +182,28 @@ def test_validate_flags_code_built_problems():
     }
 
 
+def test_validate_reports_unhashable_ids_and_cloud_names():
+    d = LQDictionary(
+        subject="s",
+        quanta=(
+            LearnerQuantum(["A"], "t", frozenset(), frozenset({"k1"})),
+            LearnerQuantum(["A"], "t", frozenset(), frozenset({"k1"})),
+            LearnerQuantum("A", "t", frozenset(), frozenset({"k2"})),
+        ),
+        clouds=(LQCloud(["c"], frozenset({"A", "B"})), LQCloud(["c"], frozenset())),
+    )
+    findings = validate_dictionary(d)
+    # an unhashable value cannot be looked up, so it is never a duplicate
+    assert [(f.code, f.message) for f in findings] == [
+        ("bad-id", "id ['A'] is not a whitespace-free token"),
+        ("bad-id", "id ['A'] is not a whitespace-free token"),
+        ("bad-cloud-name", "cloud name ['c'] is not a whitespace-free token"),
+        ("dangling-cloud-member", "member 'B' is not a defined LQ"),
+        ("bad-cloud-name", "cloud name ['c'] is not a whitespace-free token"),
+    ]
+    assert [f.subject for f in findings if f.code.startswith("bad-")] == ["['A']", "['A']", "['c']", "['c']"]
+
+
 def test_profile_parsing():
     p = parse_profile(b'{"known": ["k1"], "target": ["k3", "k2"]}')
     assert p == LearnerProfile(known={"k1"}, target={"k2", "k3"})
