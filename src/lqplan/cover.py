@@ -332,7 +332,9 @@ def backward_resolve(
     empty. An up-front reachability check (can the targets be reached from
     the known set at all, taking every quantum in the scope) turns
     obviously hopeless queries into ``Infeasible`` at stage 0 rather than
-    letting them fail mid-resolution with a less useful message.
+    letting them fail mid-resolution with a less useful message. It runs
+    the closure on the targets' backward cone only, which reaches the same
+    targets as the whole scope does.
     """
     if not profile.target:
         raise ValueError("planning query requires a non-empty target set")
@@ -340,7 +342,7 @@ def backward_resolve(
     wanted = profile.target - profile.known
     if not wanted:
         return SolutionTrace((), ())
-    attainable = closure_over(profile.known, candidates)
+    attainable = closure_over(profile.known, candidates.cone(wanted, profile.known))
     if not wanted <= attainable:
         raise Infeasible(0, wanted - attainable)
 
@@ -426,5 +428,6 @@ def prerequisite_gap(
     """What stands between this learner and one specific quantum."""
     quantum = dictionary.quantum(lq_id)
     missing = quantum.prerequisites - profile.known
-    satisfiable = missing <= closure_over(profile.known, dictionary.scoped())
+    cone = dictionary.scoped().cone(missing, profile.known)
+    satisfiable = missing <= closure_over(profile.known, cone)
     return GapReport(lq_id=lq_id, missing=missing, satisfiable=satisfiable)

@@ -31,8 +31,8 @@ _TOPICS = (
 )
 
 _SEED_MAX = 2**64 - 1
-# Generation time grows with the square of the unit count; the cap is
-# twice the largest instance the scale tests plan for (50k units).
+# Generation time grows linearly with the unit count; the cap is twice
+# the largest instance the scale tests plan for (50k units).
 _COUNT_MAX = 100_000
 
 
@@ -106,6 +106,7 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
     known = kfs[:known_count]
     unproduced = deque(kfs[known_count:])
     available = list(known)
+    available_set = set(available)
     produced: list[str] = []
 
     quanta: list[LearnerQuantum] = []
@@ -114,16 +115,19 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
         want = rng.randint(1, spec.max_objectives)
         objectives = [unproduced.popleft() for _ in range(min(want, len(unproduced)))]
         if objectives:
-            prereq_pool = [kf for kf in available if kf not in objectives]
+            # fresh objectives come from unproduced, never from available
+            prereq_pool = available
         else:
             # Re-teaching unit: its objectives were produced earlier, so
             # drawing prerequisites from anything produced later would put
             # a second supplier above its consumers and could close a
             # dependency cycle. Prerequisites from the known set keep the
-            # whole dictionary's digraph acyclic.
+            # whole dictionary's digraph acyclic. Produced KFs are never
+            # known, so only objectives drawn from the known set (before
+            # anything is produced) need filtering out of the pool.
             refresh_pool = produced if produced else available
             objectives = rng.sample(refresh_pool, min(want, len(refresh_pool)))
-            prereq_pool = [kf for kf in known if kf not in objectives]
+            prereq_pool = known if produced else [kf for kf in known if kf not in objectives]
         depth = rng.randint(0, min(spec.max_prereqs, len(prereq_pool)))
         prerequisites = rng.sample(prereq_pool, depth)
         quanta.append(
@@ -137,7 +141,8 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
             )
         )
         for kf in objectives:
-            if kf not in available:
+            if kf not in available_set:
+                available_set.add(kf)
                 available.append(kf)
                 produced.append(kf)
 

@@ -139,24 +139,34 @@ class Scope(tuple):
     """The quanta one query may draw on, compiled for lookups by KF.
 
     A ``Scope`` is a tuple of quanta, so it can stand wherever the plain
-    tuple did. Its two maps are built on first use and live as long as
-    the scope: ``suppliers`` maps a KF to the positions of the quanta
-    delivering it, ``waiters`` maps a KF to the positions of the quanta
-    requiring it and comes with each quantum's prerequisite count.
+    tuple did. Its ``suppliers`` map, built on first use and kept as long
+    as the scope, sends a KF to the positions of the quanta delivering it.
     """
 
     @cached_property
     def suppliers(self) -> dict[str, Sequence[int]]:
         return _positions_by_kf(q.objectives for q in self)
 
-    @cached_property
-    def waiters(self) -> tuple[dict[str, Sequence[int]], list[int]]:
-        return _waiters(self)
+    def cone(self, wanted: Iterable[str], known: KFSet) -> list[LearnerQuantum]:
+        """The backward cone of ``wanted``, in scope order: every quantum
+        supplying a wanted KF the learner lacks and, transitively, every
+        supplier of such a quantum's prerequisites outside ``known``.
 
-
-def _waiters(quanta: Sequence[LearnerQuantum]) -> tuple[dict[str, Sequence[int]], list[int]]:
-    """The waiter map of ``quanta`` and each quantum's prerequisite count."""
-    return _positions_by_kf(q.prerequisites for q in quanta), [len(q.prerequisites) for q in quanta]
+        A wanted KF is in the closure over the whole scope exactly when it
+        is in the closure over its cone: the cone holds every supplier of
+        each KF it needs, so the full closure's firings that lead to a
+        wanted KF all happen inside it.
+        """
+        suppliers = self.suppliers
+        needed = set(wanted) - known
+        frontier = needed
+        taken: set[int] = set()
+        while frontier:
+            fresh = {i for kf in frontier for i in suppliers.get(kf, ())} - taken
+            taken |= fresh
+            frontier = set().union(*[self[i].prerequisites for i in fresh]) - known - needed
+            needed |= frontier
+        return [self[i] for i in sorted(taken)]
 
 
 @dataclass(frozen=True)
@@ -555,22 +565,17 @@ def closure_over(known: Iterable[str], quanta: Iterable[LearnerQuantum]) -> KFSe
 
     A quantum is ready once all its prerequisites are held; taking it adds
     its objectives. This is a least fixpoint, computed with a worklist on
-    the scope's waiter map: each quantum counts the prerequisites it still
-    misses, every newly held KF (the known ones first) lowers the counts
-    of the quanta waiting on it, and a quantum fires exactly once, when
-    its count hits zero. A ``Scope`` keeps its waiter map between calls;
-    for any other iterable the map is built for this call alone.
+    a waiter map built for this call: each quantum counts the
+    prerequisites it still misses, every newly held KF (the known ones
+    first) lowers the counts of the quanta waiting on it, and a quantum
+    fires exactly once, when its count hits zero.
     """
-    if isinstance(quanta, Scope):
-        scope = quanta
-        waiting_on, counts = scope.waiters
-    else:
-        scope = list(quanta)
-        waiting_on, counts = _waiters(scope)
-    missing = list(counts)
+    scope = list(quanta)
+    waiting_on = _positions_by_kf(q.prerequisites for q in scope)
+    missing = [len(q.prerequisites) for q in scope]
     held: set[str] = set(known)
     fresh: set[str] = held  # held KFs whose waiters have not been told yet
-    ready = [i for i, count in enumerate(counts) if not count]
+    ready = [i for i, count in enumerate(missing) if not count]
     while True:
         for kf in fresh:
             for waiter in waiting_on.get(kf, ()):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from lqplan.cover import CoverConfig, CoverMode, Infeasible, backward_resolve
@@ -139,3 +141,17 @@ def test_scale_generation_is_quick():
     dictionary, profile = generate(GenSpec(seed=8, lq_count=1000, kf_count=800))
     assert len(dictionary.quanta) == 1000
     assert profile.target <= closure_by_rescan(profile.known, dictionary.quanta)
+
+
+@pytest.mark.parametrize(
+    "lq_count, kf_count, digest",
+    [
+        (4000, 3200, "c54508853471a5a91b277228d6787fde9535932745d29bed3c36755cd1d05301"),
+        (10000, 8000, "ea5ee776058322bb3424601a7f28d967f35e9941449af0cd52a76d34b714f02d"),
+    ],
+)
+def test_benchmark_dictionaries_are_pinned(lq_count, kf_count, digest):
+    # the dictionaries perfbench plans against: a generator change that
+    # moves them changes what every benchmark run measures
+    dictionary, _ = generate(GenSpec(2026, lq_count, kf_count))
+    assert hashlib.sha256(serialize_dictionary(dictionary)).hexdigest() == digest

@@ -3,10 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import KF_POOL, profiles, quanta_lists, small_dictionaries
+from conftest import KF_POOL, make_d1_prime, profiles, quanta_lists, small_dictionaries
 from lqplan.model import (
     LearnerProfile,
     LearnerQuantum,
@@ -264,15 +264,32 @@ def clouded_dictionaries(draw) -> LQDictionary:
     return LQDictionary(subject="prop", quanta=quanta, clouds=clouds)
 
 
-@given(clouded_dictionaries(), st.lists(st.frozensets(st.sampled_from(KF_POOL), max_size=4), min_size=1, max_size=3))
+kf_sets = st.frozensets(st.sampled_from(KF_POOL), max_size=4)
+
+
+@given(clouded_dictionaries(), st.lists(st.tuples(kf_sets, kf_sets), min_size=1, max_size=3))
+@example(make_d1_prime(), [(frozenset({"k1"}), frozenset({"k3"}))])  # k3 needs a chain
 @settings(max_examples=100)
-def test_closure_matches_rescan_oracle(d, knowns):
+def test_closure_matches_rescan_oracle(d, queries):
     for scope in [None, *(c.name for c in d.clouds)]:
         quanta = [q for q in d.quanta if scope is None or q.id in d.cloud(scope).member_ids]
-        # later known sets run on the maps the first one built
-        for known in knowns:
-            assert closure_over(known, d.scoped(scope)) == closure_by_rescan(known, quanta)
+        # later queries run on the supplier map the first one built
+        for known, wanted in queries:
+            reached = closure_by_rescan(known, quanta)
+            assert closure_over(known, d.scoped(scope)) == reached
+            # each KF alone too: a lone goal is the likeliest to need a chain
+            for goal in [wanted, *map(frozenset, KF_POOL)]:
+                cone = d.scoped(scope).cone(goal, known)
+                assert goal & closure_over(known, cone) == goal & reached
         assert d.scoped(scope) is d.scoped(scope)
+
+
+def test_cone_is_goal_directed(d1, cycle_trap):
+    scope = d1.scoped()
+    assert [q.id for q in scope.cone({"k2"}, frozenset({"k1"}))] == ["A"]
+    assert [q.id for q in scope.cone({"k3"}, frozenset({"k1"}))] == ["A", "B", "C"]
+    trap, _ = cycle_trap
+    assert [q.id for q in trap.scoped().cone({"t1", "t2"}, frozenset())] == ["X", "Y", "Z"]
 
 
 @given(quanta_lists(), st.frozensets(st.sampled_from(KF_POOL), max_size=4))
