@@ -25,6 +25,7 @@ from .model import (
     SchemaError,
     UnknownCloud,
     UnknownLQ,
+    _is_token,
     load_dictionary,
     parse_dictionary,
     serialize_dictionary,
@@ -62,13 +63,9 @@ class _Parser(argparse.ArgumentParser):
 def _parse_kfs(text: str) -> frozenset[str]:
     tokens = [piece.strip() for piece in text.split(",") if piece.strip()]
     for token in tokens:
-        if any(ch.isspace() for ch in token):
+        if not _is_token(token):
             raise _UsageError(f"knowledge factor {token!r} contains whitespace")
     return frozenset(tokens)
-
-
-def _load_dict(path: str) -> LQDictionary:
-    return load_dictionary(Path(path).read_bytes())
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -80,22 +77,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     print(f"OK: {len(dictionary.quanta)} quanta, {len(dictionary.clouds)} clouds")
     return EXIT_OK
-
-
-def _resolve(args: argparse.Namespace) -> tuple[LQDictionary, LearnerProfile, SolutionTrace, PrereqDigraph, Plan]:
-    dictionary = _load_dict(args.dict)
-    profile = LearnerProfile(known=_parse_kfs(args.known), target=_parse_kfs(args.target))
-    if not profile.target:
-        raise _UsageError("planning query requires a non-empty target set")
-    config = CoverConfig(
-        metric=MinimalityMetric(args.metric),
-        mode=CoverMode(args.mode),
-        reuse_acquired_objectives=not args.strict_residual,
-    )
-    trace = backward_resolve(profile, dictionary, scope=args.cloud, config=config)
-    graph = build_digraph(trace.solution, dictionary, profile)
-    plan = topo_schedule(graph, dictionary)
-    return dictionary, profile, trace, graph, plan
 
 
 def _plan_doc(
@@ -143,7 +124,18 @@ def _plan_doc(
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    dictionary, profile, trace, graph, plan = _resolve(args)
+    dictionary = load_dictionary(Path(args.dict).read_bytes())
+    profile = LearnerProfile(known=_parse_kfs(args.known), target=_parse_kfs(args.target))
+    if not profile.target:
+        raise _UsageError("planning query requires a non-empty target set")
+    config = CoverConfig(
+        metric=MinimalityMetric(args.metric),
+        mode=CoverMode(args.mode),
+        reuse_acquired_objectives=not args.strict_residual,
+    )
+    trace = backward_resolve(profile, dictionary, scope=args.cloud, config=config)
+    graph = build_digraph(trace.solution, dictionary, profile)
+    plan = topo_schedule(graph, dictionary)
     if args.format == "json":
         print(json.dumps(_plan_doc(args, dictionary, profile, trace, graph, plan), indent=2))
     elif args.format == "dot":
@@ -163,7 +155,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_counsel(args: argparse.Namespace) -> int:
-    dictionary = _load_dict(args.dict)
+    dictionary = load_dictionary(Path(args.dict).read_bytes())
     profile = LearnerProfile(known=_parse_kfs(args.known), target=frozenset())
     report = prerequisite_gap(profile, dictionary, args.lq)
     if args.format == "json":
@@ -233,7 +225,8 @@ def _build_parser() -> _Parser:
     p_graph.add_argument("--known", default="")
     p_graph.add_argument("--target", required=True)
     p_graph.add_argument("--format", choices=["dot"], default="dot")
-    p_graph.set_defaults(handler=_cmd_plan, cloud=None, metric="count", mode="exact", strict_residual=False)
+    plan_defaults = {key: p_plan.get_default(key) for key in ("cloud", "metric", "mode", "strict_residual")}
+    p_graph.set_defaults(handler=_cmd_plan, **plan_defaults)
 
     p_gen = sub.add_parser("gen", help="generate a dictionary/profile fixture pair")
     p_gen.add_argument("--seed", type=int, required=True)
@@ -250,10 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"lqplan: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.handler(args)
     except _UsageError as exc:
         print(f"lqplan: usage error: {exc}", file=sys.stderr)

@@ -80,7 +80,10 @@ class SolutionTrace:
     """
 
     iterations: tuple[IterationRecord, ...]
-    solution: tuple[str, ...]
+
+    @property
+    def solution(self) -> tuple[str, ...]:
+        return tuple(lq_id for rec in self.iterations for lq_id in sorted(rec.selected))
 
     @property
     def cardinality(self) -> int:
@@ -199,11 +202,9 @@ def minimal_cover(
     if not targets:
         return frozenset()
     pool = sorted((q for q in candidates if q.objectives & targets), key=lambda q: q.id)
-    coverable: set[str] = set()
-    for q in pool:
-        coverable |= q.objectives & targets
-    if coverable != targets:
-        raise NoCover(targets - coverable)
+    uncovered = targets.difference(*(q.objectives for q in pool))
+    if uncovered:
+        raise NoCover(uncovered)
     exact = config.mode is CoverMode.EXACT
     if exact and len(pool) > MAX_EXACT_CANDIDATES:
         raise ExactTooLarge(len(pool), MAX_EXACT_CANDIDATES)
@@ -302,9 +303,10 @@ def _exact_cover(
         for bit, options in zip(target_bits, suppliers):
             if covered & bit:
                 continue
+            # never empty: minimal_cover refused any target without a
+            # supplier, and a sibling bans only options of the branch bit,
+            # which has the fewest options of any open bit
             options = [i for i in options if allowed >> i & 1]
-            if not options:
-                return
             extra = max(extra, min(weights[i] for i in options))
             if branch_options is None or len(options) < len(branch_options):
                 branch_options = options
@@ -341,7 +343,7 @@ def backward_resolve(
     candidates = dictionary.scoped(scope)
     wanted = profile.target - profile.known
     if not wanted:
-        return SolutionTrace((), ())
+        return SolutionTrace(())
     attainable = closure_over(profile.known, candidates.cone(wanted, profile.known))
     if not wanted <= attainable:
         raise Infeasible(0, wanted - attainable)
@@ -350,7 +352,6 @@ def backward_resolve(
     suppliers = candidates.suppliers
     acquired: frozenset[str] = frozenset()
     selected_ids: set[str] = set()
-    solution: list[str] = []
     iterations: list[IterationRecord] = []
     index = 0
     while wanted:
@@ -364,7 +365,6 @@ def backward_resolve(
             picked = minimal_cover(wanted, pool, held, config)
         except NoCover as exc:
             raise Infeasible(index, exc.uncovered) from exc
-        picked_sorted = sorted(picked)
         prereq_union = frozenset().union(*(by_id[lq_id].prerequisites for lq_id in picked))
         acquired = acquired.union(*(by_id[lq_id].objectives for lq_id in picked))
         residual = prereq_union - profile.known
@@ -372,9 +372,8 @@ def backward_resolve(
             residual -= acquired
         iterations.append(IterationRecord(index, frozenset(picked), prereq_union, residual))
         selected_ids |= picked
-        solution.extend(picked_sorted)
         wanted = residual
-    return SolutionTrace(tuple(iterations), tuple(solution))
+    return SolutionTrace(tuple(iterations))
 
 
 def global_optimal_plan(

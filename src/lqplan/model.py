@@ -531,8 +531,6 @@ def parse_profile(source: Source) -> LearnerProfile:
     doc = _require_object(_parse_json(source), "", _PROFILE_KEYS)
     tokens: set[str] = set()
     known = _token_list(doc, "$", "known", tokens) if "known" in doc else frozenset()
-    if "target" not in doc:
-        raise SchemaError("$.target", "missing required key")
     return LearnerProfile(known=known, target=_token_list(doc, "$", "target", tokens))
 
 

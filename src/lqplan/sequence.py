@@ -92,13 +92,9 @@ def build_digraph(
             for supplier in suppliers.get(kf, ()):
                 if supplier != q.id:
                     edges.add((supplier, q.id))
-    out_degree = {lq_id: 0 for lq_id in ids}
-    for src, _dst in edges:
-        out_degree[src] += 1
+    sources = {src for src, _dst in edges}
     zero_prereq = frozenset(q.id for q in quanta if q.prerequisites <= profile.known)
-    finish = frozenset(
-        q.id for q in quanta if q.objectives & profile.target and out_degree[q.id] == 0
-    )
+    finish = frozenset(q.id for q in quanta if q.objectives & profile.target and q.id not in sources)
     return PrereqDigraph(
         nodes=frozenset(ids),
         edges=frozenset(edges),

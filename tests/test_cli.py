@@ -259,10 +259,9 @@ class TestPlan:
         assert run_cli(capsys, "nonsense")[0] == 4
         assert run_cli(capsys)[0] == 4
 
-    def test_whitespace_token_rejected(self, capsys, d1_file):
-        code, _, err = run_cli(
-            capsys, "plan", "--dict", d1_file, "--target", "k1,k 2"
-        )
+    @pytest.mark.parametrize("target", ["k1,k 2", "k1,k\u00a02"])  # ASCII space; no-break space
+    def test_whitespace_token_rejected(self, capsys, d1_file, target):
+        code, _, err = run_cli(capsys, "plan", "--dict", d1_file, "--target", target)
         assert code == 4
         assert "whitespace" in err
 

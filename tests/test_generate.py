@@ -28,6 +28,8 @@ from oracles import closure_by_rescan
         # over the size caps; refused before anything is allocated
         dict(seed=1, lq_count=100_001, kf_count=5),
         dict(seed=1, lq_count=3, kf_count=100_001),
+        # a flavor's value is not a flavor
+        dict(seed=1, lq_count=3, kf_count=5, flavor="feasible"),
     ],
 )
 def test_spec_invalid(kwargs):

@@ -59,6 +59,8 @@ def test_load_accepts_str_and_stream(tmp_path):
     a = load_dictionary(D1_JSON.decode("utf-8"))
     b = load_dictionary(BytesIO(D1_JSON))
     assert a == b
+    with pytest.raises(TypeError, match="^cannot read from int$"):
+        load_dictionary(123)
 
 
 def test_malformed_json_is_parse_error():
@@ -82,6 +84,7 @@ def test_malformed_json_is_parse_error():
         (lambda doc: doc["quanta"][0].pop("title"), "title"),
         (lambda doc: doc["quanta"][0].pop("objectives"), "objectives"),
         (lambda doc: doc.update(clouds=[]), "clouds"),
+        (lambda doc: doc["clouds"].update(core="A"), "$.clouds.core: expected a list"),
         (lambda doc: doc.update(quanta={}), "quanta"),
         (lambda doc: doc.pop("subject"), "subject"),
     ],
