@@ -21,6 +21,7 @@ from .model import (
     LearnerProfile,
     LearnerQuantum,
     MinimalityMetric,
+    Scope,
     closure_over,
     total_weight,  # re-exported: callers import it from here too
 )
@@ -132,8 +133,8 @@ class TooLarge(LQPlanError):
 class Infeasible(LQPlanError):
     """The dictionary cannot take this learner to these targets.
 
-    ``stage`` 0 means the up-front reachability check failed; stage g >= 1
-    means round g of backward resolution found no cover for its residual.
+    ``stage`` 0 means no sequence of the quanta in scope reaches the targets;
+    stage g >= 1 means round g of backward resolution found no cover for its residual.
     """
 
     def __init__(self, stage: int, uncovered: KFSet):
@@ -320,6 +321,12 @@ def _exact_cover(
     return list(best_key[2])
 
 
+def _unreachable(candidates: Scope, wanted: KFSet, known: KFSet) -> KFSet:
+    """The wanted KFs no sequence of the scope's quanta reaches from ``known``,
+    found by a closure over their backward cone only (see ``Scope.cone``)."""
+    return wanted - closure_over(known, candidates.cone(wanted, known))
+
+
 def backward_resolve(
     profile: LearnerProfile,
     dictionary: LQDictionary,
@@ -331,22 +338,19 @@ def backward_resolve(
     Round 1 covers the targets the learner does not hold. Each later
     round covers the previous round's residual prerequisites, drawing only
     on quanta not yet selected. The loop ends when a residual comes up
-    empty. An up-front reachability check (can the targets be reached from
-    the known set at all, taking every quantum in the scope) turns
-    obviously hopeless queries into ``Infeasible`` at stage 0 rather than
-    letting them fail mid-resolution with a less useful message. It runs
-    the closure on the targets' backward cone only, which reaches the same
-    targets as the whole scope does.
+    empty. A target no sequence of the scope's quanta reaches from the
+    known set ends in ``Infeasible`` at stage 0. Closure is monotone in the
+    set of quanta, so a selection whose closure holds the targets proves
+    them reachable; only when that proof fails (a round raised, or the
+    selected quanta form a cycle) does the closure run on the targets'
+    backward cone.
     """
     if not profile.target:
         raise ValueError("planning query requires a non-empty target set")
     candidates = dictionary.scoped(scope)
-    wanted = profile.target - profile.known
+    goal = wanted = profile.target - profile.known
     if not wanted:
         return SolutionTrace(())
-    attainable = closure_over(profile.known, candidates.cone(wanted, profile.known))
-    if not wanted <= attainable:
-        raise Infeasible(0, wanted - attainable)
 
     by_id = dictionary.by_id
     suppliers = candidates.suppliers
@@ -354,25 +358,33 @@ def backward_resolve(
     selected_ids: set[str] = set()
     iterations: list[IterationRecord] = []
     index = 0
-    while wanted:
-        index += 1
-        # the round's pool: every quantum delivering a wanted KF, in scope
-        # order, less those whose id is already selected
-        offered = {i for kf in wanted for i in suppliers.get(kf, ())}
-        pool = [candidates[i] for i in sorted(offered) if candidates[i].id not in selected_ids]
-        held = profile.known | acquired if config.reuse_acquired_objectives else profile.known
-        try:
-            picked = minimal_cover(wanted, pool, held, config)
-        except NoCover as exc:
-            raise Infeasible(index, exc.uncovered) from exc
-        prereq_union = frozenset().union(*(by_id[lq_id].prerequisites for lq_id in picked))
-        acquired = acquired.union(*(by_id[lq_id].objectives for lq_id in picked))
-        residual = prereq_union - profile.known
-        if config.reuse_acquired_objectives:
-            residual -= acquired
-        iterations.append(IterationRecord(index, frozenset(picked), prereq_union, residual))
-        selected_ids |= picked
-        wanted = residual
+    try:
+        while wanted:
+            index += 1
+            # the round's pool: every quantum delivering a wanted KF, in scope
+            # order, less those whose id is already selected
+            offered = {i for kf in wanted for i in suppliers.get(kf, ())}
+            pool = [candidates[i] for i in sorted(offered) if candidates[i].id not in selected_ids]
+            held = profile.known | acquired if config.reuse_acquired_objectives else profile.known
+            try:
+                picked = minimal_cover(wanted, pool, held, config)
+            except NoCover as exc:
+                raise Infeasible(index, exc.uncovered) from exc
+            prereq_union = frozenset().union(*(by_id[lq_id].prerequisites for lq_id in picked))
+            acquired = acquired.union(*(by_id[lq_id].objectives for lq_id in picked))
+            residual = prereq_union - profile.known
+            if config.reuse_acquired_objectives:
+                residual -= acquired
+            iterations.append(IterationRecord(index, frozenset(picked), prereq_union, residual))
+            selected_ids |= picked
+            wanted = residual
+    except LQPlanError:
+        if unreachable := _unreachable(candidates, goal, profile.known):
+            raise Infeasible(0, unreachable) from None
+        raise
+    if not goal <= closure_over(profile.known, [by_id[lq_id] for lq_id in selected_ids]):
+        if unreachable := _unreachable(candidates, goal, profile.known):
+            raise Infeasible(0, unreachable)
     return SolutionTrace(tuple(iterations))
 
 
@@ -427,6 +439,5 @@ def prerequisite_gap(
     """What stands between this learner and one specific quantum."""
     quantum = dictionary.quantum(lq_id)
     missing = quantum.prerequisites - profile.known
-    cone = dictionary.scoped().cone(missing, profile.known)
-    satisfiable = missing <= closure_over(profile.known, cone)
+    satisfiable = not _unreachable(dictionary.scoped(), missing, profile.known)
     return GapReport(lq_id=lq_id, missing=missing, satisfiable=satisfiable)

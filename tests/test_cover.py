@@ -11,6 +11,7 @@ from conftest import KF_POOL, profiles, quanta_lists
 from lqplan.cover import (
     CoverConfig,
     CoverMode,
+    MAX_EXACT_CANDIDATES,
     ExactTooLarge,
     Infeasible,
     NoCover,
@@ -27,6 +28,7 @@ from lqplan.model import (
     LearnerQuantum,
     LQDictionary,
     MinimalityMetric,
+    Scope,
     UnknownLQ,
     closure_over,
 )
@@ -256,6 +258,55 @@ class TestBackwardResolve:
         assert err.value.stage == 0
         assert err.value.uncovered == frozenset({"k3"})
 
+    @pytest.mark.parametrize("mode", list(CoverMode))
+    def test_unreachable_target_with_oversized_pool_is_stage_zero(self, mode):
+        # every supplier of t needs p, which nothing supplies: exact mode's
+        # round 1 refuses the pool and greedy mode's round 2 finds no cover,
+        # and either way the reachability check turns it into stage 0
+        pool = tuple(
+            LearnerQuantum(f"q{i:02d}", "t", {"p"}, {"t"}) for i in range(MAX_EXACT_CANDIDATES + 1)
+        )
+        dictionary = LQDictionary(subject="oversized", quanta=pool)
+        profile = LearnerProfile(known=frozenset(), target={"t"})
+        with pytest.raises(Infeasible) as err:
+            backward_resolve(profile, dictionary, config=CoverConfig(mode=mode))
+        assert err.value.stage == 0
+        assert err.value.uncovered == frozenset({"t"})
+
+    def test_cycle_without_way_in_is_stage_zero(self, cycle_trap):
+        # the X/Y pair covers every round, but nothing reaches a or b
+        trap, profile = cycle_trap
+        pair = LQDictionary(subject="pair", quanta=trap.quanta[:2])
+        assert [q.id for q in pair.quanta] == ["X", "Y"]
+        with pytest.raises(Infeasible) as err:
+            backward_resolve(profile, pair)
+        assert err.value.stage == 0
+        assert err.value.uncovered == frozenset({"t1", "t2"})
+
+    def test_cycle_with_way_in_keeps_its_trace(self, cycle_trap, monkeypatch):
+        # the selection X/Y cannot prove the targets reachable, so the cone
+        # check runs once, finds Z's way in and the trace stands
+        trap, profile = cycle_trap
+        cones = []
+        cone = Scope.cone
+        monkeypatch.setattr(Scope, "cone", lambda *args: cones.append(args[1:]) or cone(*args))
+        trace = backward_resolve(profile, trap)
+        assert trace.solution == ("X", "Y")
+        assert [rec.residual for rec in trace.iterations] == [frozenset()]
+        assert cones == [(frozenset({"t1", "t2"}), frozenset())]
+
+    @pytest.mark.parametrize("mode", list(CoverMode))
+    def test_feasible_acyclic_query_skips_the_cone(self, d1, d1_prime, mode, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the selection proves reachability; no cone is needed")
+
+        monkeypatch.setattr(Scope, "cone", refuse)
+        config = CoverConfig(mode=mode)
+        profile = LearnerProfile(known={"k1"}, target={"k3", "k4"})
+        assert backward_resolve(profile, d1, config=config).solution == ("C",)
+        profile = LearnerProfile(known={"k1"}, target={"k3"})
+        assert backward_resolve(profile, d1_prime, config=config).solution == ("B", "A")
+
     def test_scope_restricts_candidates(self, d1):
         from lqplan.model import LQCloud
 
@@ -344,17 +395,20 @@ class TestBackwardResolve:
         dictionary = LQDictionary(subject="prop", quanta=quanta)
         config = CoverConfig(mode=CoverMode(mode))
         reachable = closure_by_rescan(profile.known, quanta)
+        wanted = profile.target - profile.known
+        if not wanted <= reachable:
+            # whatever the rounds make of it, an unreachable target is stage 0
+            with pytest.raises(Infeasible) as unreachable:
+                backward_resolve(profile, dictionary, config=config)
+            assert unreachable.value.stage == 0
+            assert unreachable.value.uncovered == wanted - reachable
+            return
         try:
             trace = backward_resolve(profile, dictionary, config=config)
         except Infeasible as err:
-            if err.stage == 0:
-                assert not profile.target <= reachable
-                assert err.uncovered == (profile.target - profile.known) - reachable
-            else:
-                assert err.uncovered
+            assert err.stage > 0
+            assert err.uncovered
             return
-        # success implies the target truly is reachable
-        assert profile.target <= reachable
         # coverage: known plus all selected objectives reach every target
         acquired = frozenset().union(
             *(dictionary.quantum(i).objectives for i in trace.solution)

@@ -12,7 +12,10 @@ and without ``--strict-residual``.
 
 The gates time the greedy path in memory (resolve, digraph, staging and
 simulation, no file load) on the broad target and require a sound plan
-within five times the median measured when the gate was set.
+within five times the median measured when the gate was set. One more
+gate times the dearest way to fail: a broad greedy query on a 50k
+adversarial dictionary that also asks for a KF only the trap pair
+supplies, which resolves in full before its stage-0 ``Infeasible``.
 
 Tier-1 runs everything not marked ``scale``; ``pytest -m scale`` runs the
 rest. After an intended output change, rewrite the corpus (every size,
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from lqplan.cover import CoverConfig, CoverMode, backward_resolve
+from lqplan.cover import CoverConfig, CoverMode, Infeasible, backward_resolve
 from lqplan.generate import Flavor, GenSpec, generate
 from lqplan.model import LearnerProfile, LQDictionary, closure_over, serialize_dictionary
 from lqplan.sequence import build_digraph, simulate_plan, topo_schedule
@@ -55,6 +58,9 @@ CORPUS = (
 # CPython 3.11.7.
 GATE_MEDIAN_S = {20_000: 0.13, 50_000: 0.53, 100_000: 1.38}
 GATE_HEADROOM = 5
+# Median seconds of the stage-0-unreachable greedy resolve on 50k
+# adversarial units, measured the same way (22 runs).
+TRAP_GATE_MEDIAN_S = 0.45
 
 
 def instance(flavor: Flavor, units: int) -> tuple[LQDictionary, LearnerProfile]:
@@ -128,6 +134,23 @@ def test_greedy_path_gate(units):
     assert verdict.ok
     bound = GATE_HEADROOM * GATE_MEDIAN_S[units]
     assert elapsed < bound, f"greedy path on {units} units took {elapsed:.3f}s, gate {bound:.3f}s"
+
+
+@pytest.mark.scale
+def test_unreachable_broad_query_gate():
+    dictionary, generated = instance(Flavor.ADVERSARIAL, 50_000)
+    profile = broad_profile(dictionary, generated)
+    # the last unit is one of the trap pair; the KF it makes is the one
+    # nothing outside the pair supplies
+    [trap_kf] = dictionary.quanta[-1].objectives - closure_over(profile.known, dictionary.quanta)
+    profile = LearnerProfile(known=profile.known, target=profile.target | {trap_kf})
+    start = time.perf_counter()
+    with pytest.raises(Infeasible) as err:
+        backward_resolve(profile, dictionary, config=CoverConfig(mode=CoverMode.GREEDY))
+    elapsed = time.perf_counter() - start
+    assert (err.value.stage, err.value.uncovered) == (0, frozenset({trap_kf}))
+    bound = GATE_HEADROOM * TRAP_GATE_MEDIAN_S
+    assert elapsed < bound, f"unreachable broad query on 50000 units took {elapsed:.3f}s, gate {bound:.3f}s"
 
 
 if __name__ == "__main__":
