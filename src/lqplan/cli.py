@@ -26,6 +26,7 @@ from .model import (
     UnknownCloud,
     UnknownLQ,
     _is_token,
+    _token_fault,
     load_dictionary,
     parse_dictionary,
     serialize_dictionary,
@@ -53,6 +54,17 @@ class _UsageError(Exception):
     pass
 
 
+class _Unreadable(Exception):
+    """An input file could not be read; any other ``OSError`` is a failed write."""
+
+
+def _read(path: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise _Unreadable(exc) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route through our own
     # error so usage problems land on exit code 4 instead.
@@ -64,12 +76,12 @@ def _parse_kfs(text: str) -> frozenset[str]:
     tokens = [piece.strip() for piece in text.split(",") if piece.strip()]
     for token in tokens:
         if not _is_token(token):
-            raise _UsageError(f"knowledge factor {token!r} contains whitespace")
+            raise _UsageError(f"knowledge factor {_token_fault(token)}")
     return frozenset(tokens)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    dictionary = parse_dictionary(Path(args.dict_file).read_bytes())
+    dictionary = parse_dictionary(_read(args.dict_file))
     findings = validate_dictionary(dictionary, strict=args.strict)
     for f in findings:
         print(f"{f.severity}: {f.code}: {f.subject}: {f.message}")
@@ -124,7 +136,7 @@ def _plan_doc(
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    dictionary = load_dictionary(Path(args.dict).read_bytes())
+    dictionary = load_dictionary(_read(args.dict))
     profile = LearnerProfile(known=_parse_kfs(args.known), target=_parse_kfs(args.target))
     if not profile.target:
         raise _UsageError("planning query requires a non-empty target set")
@@ -155,7 +167,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_counsel(args: argparse.Namespace) -> int:
-    dictionary = load_dictionary(Path(args.dict).read_bytes())
+    dictionary = load_dictionary(_read(args.dict))
     profile = LearnerProfile(known=_parse_kfs(args.known), target=frozenset())
     report = prerequisite_gap(profile, dictionary, args.lq)
     if args.format == "json":
@@ -259,8 +271,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ExactTooLarge, SpecInvalid, UnknownCloud, UnknownLQ) as exc:
         print(f"lqplan: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except _Unreadable as exc:
         print(f"lqplan: cannot read input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        print(f"lqplan: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # a bug, not a verdict on the input: keep it off exits 1-4
         print(f"lqplan: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

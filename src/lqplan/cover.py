@@ -429,7 +429,7 @@ def global_optimal_plan(
         if profile.target <= closure_over(profile.known, [candidates[i] for i in chosen]):
             best_key = key
     if best_key is None:
-        raise Infeasible(0, profile.target - closure_over(profile.known, candidates))
+        raise Infeasible(0, _unreachable(dictionary.scoped(scope), wanted, profile.known))
     return frozenset(candidates[i].id for i in best_key[2])
 
 

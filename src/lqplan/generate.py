@@ -106,17 +106,15 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
     known = kfs[:known_count]
     unproduced = deque(kfs[known_count:])
     available = list(known)
-    available_set = set(available)
     produced: list[str] = []
 
     quanta: list[LearnerQuantum] = []
     regular_count = spec.lq_count - trap_quanta
     for i in range(1, regular_count + 1):
         want = rng.randint(1, spec.max_objectives)
-        objectives = [unproduced.popleft() for _ in range(min(want, len(unproduced)))]
-        if objectives:
-            # fresh objectives come from unproduced, never from available
-            prereq_pool = available
+        fresh = [unproduced.popleft() for _ in range(min(want, len(unproduced)))]
+        if fresh:
+            objectives, prereq_pool = fresh, available
         else:
             # Re-teaching unit: its objectives were produced earlier, so
             # drawing prerequisites from anything produced later would put
@@ -140,11 +138,9 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
                 cost=rng.randint(0, 40),
             )
         )
-        for kf in objectives:
-            if kf not in available_set:
-                available_set.add(kf)
-                available.append(kf)
-                produced.append(kf)
+        # fresh objectives were never available; re-taught ones always were
+        available += fresh
+        produced += fresh
 
     if trap_quanta:
         # Each trap unit requires exactly what the other delivers, plus a
@@ -172,7 +168,7 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
         size = rng.randint(2, min(5, len(ids)))
         clouds = (LQCloud("focus", frozenset(rng.sample(ids, size))),)
 
-    target_pool = sorted(set(produced))
+    target_pool = sorted(produced)
     if target_pool:
         target = rng.sample(target_pool, rng.randint(1, min(3, len(target_pool))))
     else:

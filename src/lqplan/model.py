@@ -16,11 +16,12 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Union
 
 KFSet = frozenset[str]
 
-_TOKEN_RE = re.compile(r"\S+")  # always used with fullmatch
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # what a lone JSON "\udXXX" escape decodes to
+_TOKEN_RE = re.compile(r"[^\s\ud800-\udfff]+")  # always used with fullmatch
 
 _TOP_LEVEL_KEYS = frozenset({"subject", "clouds", "quanta"})
 _QUANTUM_KEYS = frozenset(
@@ -114,22 +115,14 @@ class LQCloud:
         object.__setattr__(self, "member_ids", frozenset(self.member_ids))
 
 
-def _positions_by_kf(groups: Iterable[KFSet]) -> dict[str, Sequence[int]]:
-    """Map each KF to the ascending positions of the groups that hold it.
-
-    A KF held at one position maps to a one-item ``range`` instead of a
-    list. Ranges are not tracked by the cycle collector, and these maps
-    are built right after a dictionary is loaded: there, thousands of new
-    tracked lists set off a full collection over the whole dictionary.
-    """
-    positions: dict[str, Sequence[int]] = {}
+def _positions_by_kf(groups: Iterable[KFSet]) -> dict[str, list[int]]:
+    """Map each KF to the ascending positions of the groups that hold it."""
+    positions: dict[str, list[int]] = {}
     for i, group in enumerate(groups):
         for kf in group:
             found = positions.get(kf)
             if found is None:
-                positions[kf] = range(i, i + 1)
-            elif type(found) is range:
-                positions[kf] = [found[0], i]
+                positions[kf] = [i]
             else:
                 found.append(i)
     return positions
@@ -144,7 +137,7 @@ class Scope(tuple):
     """
 
     @cached_property
-    def suppliers(self) -> dict[str, Sequence[int]]:
+    def suppliers(self) -> dict[str, list[int]]:
         return _positions_by_kf(q.objectives for q in self)
 
     def cone(self, wanted: Iterable[str], known: KFSet) -> list[LearnerQuantum]:
@@ -262,8 +255,16 @@ def _is_token(value: object) -> bool:
     return isinstance(value, str) and _TOKEN_RE.fullmatch(value) is not None
 
 
+def _token_fault(value: object) -> str:
+    """Why the parser or validator refuses ``value``. A lone surrogate is
+    named first: it is no Unicode character, and no UTF-8 output can print it."""
+    if isinstance(value, str) and _SURROGATE_RE.search(value):
+        return f"{value!r} holds a lone surrogate, which is not a Unicode character"
+    return f"{value!r} is not a whitespace-free token"
+
+
 def _bad_token(code: str, subject: object, value: object, what: str) -> Finding:
-    return Finding("error", code, subject, f"{what} {value!r} is not a whitespace-free token")
+    return Finding("error", code, subject, f"{what} {_token_fault(value)}")
 
 
 def _named(value: object) -> str:
@@ -295,7 +296,7 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
     """Check semantic rules and return findings, worst problems as errors.
 
     Rules checked, in quanta order then cloud order:
-      - ids and KFs are non-empty whitespace-free tokens
+      - ids and KFs are non-empty whitespace-free tokens, free of lone surrogates
       - every LQ has at least one objective
       - durations and costs are non-negative integers
       - an LQ does not list a KF as both prerequisite and objective
@@ -416,6 +417,8 @@ def _require_str(doc: dict, where: str, key: str) -> str:
     value = doc[key]
     if not isinstance(value, str):
         raise SchemaError(f"{where}.{key}", f"expected a string, got {type(value).__name__}")
+    if not value.isascii() and _SURROGATE_RE.search(value):
+        raise SchemaError(f"{where}.{key}", _token_fault(value))
     return value
 
 
@@ -423,7 +426,7 @@ def _require_token(value: object, where: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(where, f"expected a string, got {type(value).__name__}")
     if not _TOKEN_RE.fullmatch(value):
-        raise SchemaError(where, f"{value!r} is not a whitespace-free token")
+        raise SchemaError(where, _token_fault(value))
     return value
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import KFSet, LQDictionary, LQPlanError, LearnerProfile, MinimalityMetric, total_weight
+from .model import (
+    KFSet, LQDictionary, LQPlanError, LearnerProfile, MinimalityMetric, _positions_by_kf, total_weight,
+)
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,13 @@ def build_digraph(
     """
     ids = sorted(set(solution))
     quanta = [dictionary.quantum(lq_id) for lq_id in ids]
-    suppliers: dict[str, list[str]] = {}
-    for q in quanta:
-        for kf in q.objectives:
-            suppliers.setdefault(kf, []).append(q.id)
+    suppliers = _positions_by_kf(q.objectives for q in quanta)
     edges: set[tuple[str, str]] = set()
-    for q in quanta:
+    for j, q in enumerate(quanta):
         for kf in q.prerequisites - profile.known:
-            for supplier in suppliers.get(kf, ()):
-                if supplier != q.id:
-                    edges.add((supplier, q.id))
+            for i in suppliers.get(kf, ()):
+                if i != j:
+                    edges.add((ids[i], q.id))
     sources = {src for src, _dst in edges}
     zero_prereq = frozenset(q.id for q in quanta if q.prerequisites <= profile.known)
     finish = frozenset(q.id for q in quanta if q.objectives & profile.target and q.id not in sources)

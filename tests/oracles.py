@@ -147,9 +147,9 @@ def greedy_cover(
 # The parser and validator as they stood before the one-pass load: the
 # parser checks every token of every list, the validator checks every
 # token again and sorts every unit's KFs, and a load raises the
-# validator's first error. The one change is the token pattern, which
-# here matches the whole string (``^\S+$`` also accepted a trailing
-# newline).
+# validator's first error. The changes: the token pattern matches the
+# whole string (``^\S+$`` also accepted a trailing newline), and no
+# string read may hold a lone surrogate, which no UTF-8 output can print.
 
 _TOKEN_RE = re.compile(r"\S+")
 _TOP_LEVEL_KEYS = frozenset({"subject", "clouds", "quanta"})
@@ -165,11 +165,23 @@ def _sorted_tokens(values: Iterable[object]) -> list:
         return sorted(values, key=lambda v: (False, v) if isinstance(v, str) else (True, repr(v)))
 
 
-def _check_token(findings: list[Finding], code: str, subject: str, value: str, what: str) -> None:
+def _has_surrogate(value: str) -> bool:
+    return any("\ud800" <= ch <= "\udfff" for ch in value)
+
+
+def _token_fault(value: object) -> Optional[str]:
+    """Why ``value`` is not a token, or None if it is one."""
+    if isinstance(value, str) and _has_surrogate(value):
+        return f"{value!r} holds a lone surrogate, which is not a Unicode character"
     if not isinstance(value, str) or not _TOKEN_RE.fullmatch(value):
-        findings.append(
-            Finding("error", code, subject, f"{what} {value!r} is not a whitespace-free token")
-        )
+        return f"{value!r} is not a whitespace-free token"
+    return None
+
+
+def _check_token(findings: list[Finding], code: str, subject: str, value: str, what: str) -> None:
+    fault = _token_fault(value)
+    if fault:
+        findings.append(Finding("error", code, subject, f"{what} {fault}"))
 
 
 def validate_two_pass(dictionary: LQDictionary, *, strict: bool = False) -> list[Finding]:
@@ -227,14 +239,17 @@ def _require_str(doc: dict, where: str, key: str) -> str:
     value = doc[key]
     if not isinstance(value, str):
         raise SchemaError(f"{where}.{key}", f"expected a string, got {type(value).__name__}")
+    if _has_surrogate(value):
+        raise SchemaError(f"{where}.{key}", _token_fault(value))
     return value
 
 
 def _require_token(value: object, where: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(where, f"expected a string, got {type(value).__name__}")
-    if not _TOKEN_RE.fullmatch(value):
-        raise SchemaError(where, f"{value!r} is not a whitespace-free token")
+    fault = _token_fault(value)
+    if fault:
+        raise SchemaError(where, fault)
     return value
 
 

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from lqplan import cli
-from lqplan.model import LearnerProfile, LearnerQuantum, LQCloud, LQDictionary
+from lqplan.model import LearnerProfile, LearnerQuantum, LQCloud, LQDictionary, serialize_dictionary
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -265,6 +269,15 @@ class TestPlan:
         assert code == 4
         assert "whitespace" in err
 
+    def test_lone_surrogate_token_rejected(self, capsys, d1_file):
+        # a non-UTF-8 byte in an argument decodes to a lone surrogate
+        code, _, err = run_cli(capsys, "plan", "--dict", d1_file, "--known", "k1,k\udcff", "--target", "k3")
+        assert code == 4
+        assert err == (
+            "lqplan: usage error: knowledge factor 'k\\udcff' holds a lone surrogate,"
+            " which is not a Unicode character\n"
+        )
+
     def test_empty_target_rejected(self, capsys, d1_file):
         code, _, err = run_cli(capsys, "plan", "--dict", d1_file, "--target", "")
         assert code == 4
@@ -370,6 +383,58 @@ class TestGen:
             assert code == 4
             assert f"{needle} must be at most 100000" in err
         assert not list(tmp_path.iterdir())
+
+    def test_missing_output_directory_is_a_write_failure(self, capsys, tmp_path):
+        prefix = tmp_path / "absent" / "x"
+        code, out, err = run_cli(
+            capsys, "gen", "--seed", "1", "--lqs", "5", "--kfs", "8", "--out", str(prefix),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("lqplan: cannot write output: [Errno 2] ")
+        assert err.endswith(f"'{prefix}.dict.json'\n")
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_a_write_failure(d1_file):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_BrokenPipe()), contextlib.redirect_stderr(err):
+        code = cli.main(["plan", "--dict", d1_file, "--known", "k1", "--target", "k3", "--format", "json"])
+    assert code == 2
+    assert err.getvalue() == "lqplan: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, argv, where",
+    [
+        # each of these printed part of its output, then exited 5
+        ("id", "C\udc00", ["plan", "--known", "k1", "--target", "k3"], "$.quanta[2].id"),
+        ("title", "Direct \ud800route", ["plan", "--known", "k1", "--target", "k3", "--format", "dot"],
+         "$.quanta[2].title"),
+        ("duplicate id", "\udc00", ["validate"], "$.quanta[3].id"),
+    ],
+)
+def test_lone_surrogate_is_invalid_input(d1, tmp_path, field, value, argv, where):
+    quanta = list(d1.quanta)
+    if field == "duplicate id":
+        quanta += [replace(quanta[0], id=value), replace(quanta[1], id=value)]
+    else:
+        quanta[2] = replace(quanta[2], **{field: value})
+    path = tmp_path / "lone.json"
+    path.write_bytes(serialize_dictionary(LQDictionary("s", tuple(quanta))))
+    assert b"\\ud" in path.read_bytes()
+    argv = argv[:1] + ([str(path)] if argv[0] == "validate" else ["--dict", str(path)]) + argv[1:]
+    # a strict UTF-8 stdout, as under any UTF-8 locale; StringIO accepts any str
+    result = subprocess.run(
+        [sys.executable, "-m", "lqplan", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"lqplan: invalid input: {where}: ")
+    assert result.stderr.endswith("holds a lone surrogate, which is not a Unicode character\n")
 
 
 def test_module_entry_point_matches_in_process(capsys, d1_file):

@@ -33,7 +33,7 @@ CORPUS = [
         make_cycle_trap()[0],
     )
 ]
-ODD_VALUES = (None, True, -1, 0, 10**30, 1.5, "", "a b", "é", "k1", [], ["k1", 7], {}, {"k": 1})
+ODD_VALUES = (None, True, -1, 0, 10**30, 1.5, "", "a b", "é", "k\udc00", "k1", [], ["k1", 7], {}, {"k": 1})
 KF_TOKENS = ("k1", "k2", "k3", "k4", "a", "b", "t1", "t2", "zz", "k 1", " k2 ", "k3\t", " ", "")
 LQ_IDS = ("A", "B", "C", "X", "Y", "Z", "ZZ", "a b", "")
 odd_values = st.sampled_from(ODD_VALUES).map(copy.deepcopy)  # later mutations must not reach the pool

@@ -32,9 +32,9 @@ from lqplan.model import (
 from oracles import load_two_pass, parse_two_pass, validate_two_pass
 from test_cli_fuzz import mutated_files, rarely
 
-IDS = ("A", "B", "C", "D", "A\n", "a b")
+IDS = ("A", "B", "C", "D", "A\n", "a b", "A\udc00")
 GOOD_KFS = ("k1", "k2", "k3", "k4", "k5")
-BAD_KFS = ("k 1", "k1\n", "", " k2", "\tk3", 7, 10, None, True, ["k1"], {"k": 1})
+BAD_KFS = ("k 1", "k1\n", "", " k2", "\tk3", "k\ud800", 7, 10, None, True, ["k1"], {"k": 1})
 
 
 @st.composite

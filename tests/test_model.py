@@ -112,6 +112,50 @@ def test_duplicate_keys_are_parse_errors(parse, text, key):
     assert str(err.value) == f"duplicate key {key!r}"
 
 
+LONE = "\udc00"  # what the JSON escape "\udc00" decodes to
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        (lambda doc: doc.update(subject="s" + LONE), "$.subject"),
+        (lambda doc: doc["quanta"][1].update(id="B" + LONE), "$.quanta[1].id"),
+        (lambda doc: doc["quanta"][1].update(title="Middle \ud800steps"), "$.quanta[1].title"),
+        (lambda doc: doc["quanta"][2].update(prerequisites=["k1", LONE]), "$.quanta[2].prerequisites[1]"),
+        (lambda doc: doc["quanta"][0].update(objectives=["k2" + LONE]), "$.quanta[0].objectives[0]"),
+        (lambda doc: doc["clouds"].update({"c" + LONE: []}), "$.clouds.c" + LONE),
+        (lambda doc: doc["clouds"]["core"].append(LONE), "$.clouds.core[2]"),
+    ],
+)
+def test_lone_surrogates_are_schema_errors(mutate, where):
+    # a lone surrogate cannot be written to a UTF-8 stream, so a plan or
+    # finding that printed one would fail half-way through its output
+    doc = json.loads(D1_JSON)
+    mutate(doc)
+    text = json.dumps(doc).encode()
+    assert b"\\ud" in text
+    for parse in (parse_dictionary, load_dictionary):
+        with pytest.raises(SchemaError) as err:
+            parse(text)
+        assert err.value.where == where
+        assert err.value.reason.endswith("holds a lone surrogate, which is not a Unicode character")
+    with pytest.raises(SchemaError, match=r"^\$\.target\[0\]: .* lone surrogate"):
+        parse_profile(json.dumps({"target": ["k" + LONE]}).encode())
+
+
+def test_validate_reports_lone_surrogates():
+    d = LQDictionary(
+        subject="s",
+        quanta=(LearnerQuantum("A" + LONE, "t", frozenset({"k" + LONE}), frozenset({"k1"})),),
+        clouds=(LQCloud("c" + LONE, frozenset()),),
+    )
+    assert [(f.code, f.message) for f in validate_dictionary(d)] == [
+        ("bad-id", "id 'A\\udc00' holds a lone surrogate, which is not a Unicode character"),
+        ("bad-kf", "knowledge factor 'k\\udc00' holds a lone surrogate, which is not a Unicode character"),
+        ("bad-cloud-name", "cloud name 'c\\udc00' holds a lone surrogate, which is not a Unicode character"),
+    ]
+
+
 def test_load_rejects_semantic_errors():
     doc = json.loads(D1_JSON)
     doc["quanta"].append(dict(doc["quanta"][0]))  # duplicate id A
