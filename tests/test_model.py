@@ -139,7 +139,10 @@ def test_lone_surrogates_are_schema_errors(mutate, where):
             parse(text)
         assert err.value.where == where
         assert err.value.reason.endswith("holds a lone surrogate, which is not a Unicode character")
-    with pytest.raises(SchemaError, match=r"^\$\.target\[0\]: .* lone surrogate"):
+
+
+def test_lone_surrogate_in_profile_is_schema_error():
+    with pytest.raises(SchemaError, match=r"^\$\.target\[0\]: 'k\\udc00' holds a lone surrogate"):
         parse_profile(json.dumps({"target": ["k" + LONE]}).encode())
 
 
