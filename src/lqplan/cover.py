@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heapreplace
+from math import lcm
 from typing import Iterable
 
 from .model import (
@@ -191,7 +192,9 @@ def minimal_cover(
     repeatedly takes the best coverage-per-weight candidate and may
     overshoot the minimum. Exact minimality is over covers with no
     free-riding member (dropping a zero-weight unit that contributes no
-    coverage is never worse under the key's first two components).
+    coverage is never worse under the key's first two components). The
+    exact search skips only covers that cannot win the key, so its bound
+    changes how long it takes, never what it picks.
 
     Both solvers see the pool as ``_encode`` gives it and identify its
     members by position in the id-sorted pool.
@@ -280,44 +283,55 @@ def _exact_cover(
 ) -> list[int]:
     """Branch and bound over the candidate pool, seeded with the greedy pick.
 
-    Branching is on the uncovered target with the fewest usable
-    candidates; the i-th option is explored with all earlier options
-    banned, which partitions the search space and visits every cover that
-    has no free-riding member exactly once. A branch is cut only when its
-    weight lower bound (the dearest of the uncovered targets' cheapest
-    options) strictly exceeds the incumbent, so equal-weight covers
-    survive for the tie-break comparison at the leaf, where covers are
-    ranked by ``_selection_key``.
+    Branching is on the open target with the fewest usable candidates
+    (the lowest such bit on ties); the i-th option is explored with all
+    earlier options banned, which partitions the search space. Unbounded,
+    it would reach every cover that has no free-riding member exactly
+    once, and some covers with a member made redundant later.
+
+    The bound is Beasley's price bound: each open target is charged the
+    least ``weight / gain`` over its usable options, where ``gain``
+    counts the open targets an option covers. Weights are never
+    negative, so any cover of the open targets weighs at least the sum
+    of these charges. The charges are integers scaled by lcm(1, ...,
+    number of targets), which every gain divides, so the bound is exact.
+    A branch is cut when its weight plus the bound exceeds the best
+    key's weight, or equals it while the branch's unmet prerequisites,
+    which only grow down a branch, already outnumber the best key's.
+
+    So the search visits every cover whose ``_selection_key`` can still
+    beat the best found so far, not every irredundant cover, and returns
+    the least key among those and the incumbent: the pick the unbounded
+    search would make.
     """
     target_bits = [1 << b for b in range(full.bit_length()) if full >> b & 1]
     suppliers = [[i for i, mask in enumerate(masks) if mask & bit] for bit in target_bits]
-
+    scale = lcm(*range(1, len(target_bits) + 1))
     best_key = _selection_key(incumbent, weights, needs)
 
-    def search(covered: int, allowed: int, chosen: list[int], weight: int) -> None:
+    def search(remaining: int, allowed: int, chosen: list[int], weight: int, need: int) -> None:
         nonlocal best_key
-        if covered == full:
-            best_key = min(best_key, _selection_key(chosen, weights, needs))
-            return
-        extra = 0
+        excess = (weight - best_key[0]) * scale  # becomes (weight + bound - best) * scale
         branch_options: list[int] | None = None
         for bit, options in zip(target_bits, suppliers):
-            if covered & bit:
+            if not remaining & bit:
                 continue
-            # never empty: minimal_cover refused any target without a
-            # supplier, and a sibling bans only options of the branch bit,
-            # which has the fewest options of any open bit
+            # never empty: minimal_cover refused unsupplied targets, and a sibling bans
+            # only options of the branch bit, which has the fewest of any open bit
             options = [i for i in options if allowed >> i & 1]
-            extra = max(extra, min(weights[i] for i in options))
+            excess += min(weights[i] * scale // (masks[i] & remaining).bit_count() for i in options)
             if branch_options is None or len(options) < len(branch_options):
                 branch_options = options
-        if weight + extra > best_key[0]:
+        if excess > 0 or excess == 0 and need.bit_count() > best_key[1]:
+            return
+        if branch_options is None:  # a cover that can still win
+            best_key = min(best_key, _selection_key(chosen, weights, needs))
             return
         for i in branch_options:
             allowed &= ~(1 << i)  # bans i here and in every later sibling
-            search(covered | masks[i], allowed, chosen + [i], weight + weights[i])
+            search(remaining & ~masks[i], allowed, chosen + [i], weight + weights[i], need | needs[i])
 
-    search(0, (1 << len(masks)) - 1, [], 0)
+    search(full, (1 << len(masks)) - 1, [], 0, 0)
     return list(best_key[2])
 
 
@@ -403,8 +417,9 @@ def global_optimal_plan(
 
     Subsets are ranked by ``_selection_key``; only a would-be best is
     checked for reachability. The B&B cannot replace the enumeration: it
-    visits only irredundant covers of the targets, and the optimum may
-    hold units that only supply prerequisites, or zero-weight free riders.
+    builds covers of the targets only from units that cover an open
+    target, and the optimum may hold units that only supply
+    prerequisites, or zero-weight free riders.
     """
     candidates = sorted(dictionary.scoped(scope), key=lambda q: q.id)
     if len(candidates) > GLOBAL_SEARCH_BOUND:

@@ -267,8 +267,18 @@ def _bad_token(code: str, subject: object, value: object, what: str) -> Finding:
     return Finding("error", code, subject, f"{what} {_token_fault(value)}")
 
 
+def _is_text(value: object) -> bool:
+    """Whether the parser accepts ``value`` as a subject or title."""
+    return isinstance(value, str) and (value.isascii() or not _SURROGATE_RE.search(value))
+
+
+def _bad_text(code: str, subject: object, value: object, what: str) -> Finding:
+    fault = _token_fault(value) if isinstance(value, str) else f"{value!r} is not a string"
+    return Finding("error", code, subject, f"{what} {fault}")
+
+
 def _named(value: object) -> str:
-    """A bad id or cloud name as the subject of its own finding."""
+    """A bad id, cloud name or dictionary subject as the subject of its own finding."""
     return value if isinstance(value, str) else repr(value)
 
 
@@ -295,7 +305,8 @@ def _dangling(member: object) -> str:
 def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> list[Finding]:
     """Check semantic rules and return findings, worst problems as errors.
 
-    Rules checked, in quanta order then cloud order:
+    Rules checked, for the subject, then in quanta order, then in cloud order:
+      - the subject and titles are strings free of lone surrogates
       - ids and KFs are non-empty whitespace-free tokens, free of lone surrogates
       - every LQ has at least one objective
       - durations and costs are non-negative integers
@@ -310,6 +321,8 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
     the ones that fail.
     """
     findings: list[Finding] = []
+    if not _is_text(dictionary.subject):
+        findings.append(_bad_text("bad-subject", _named(dictionary.subject), dictionary.subject, "subject"))
     tokens: set[str] = set()  # KFs already found to be tokens
     seen_ids: set = set()
     for q in dictionary.quanta:
@@ -317,6 +330,8 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
             findings.append(_bad_token("bad-id", _named(q.id), q.id, "id"))
         if _is_repeat(seen_ids, q.id):
             findings.append(Finding("error", "duplicate-id", q.id, _DUPLICATE_ID))
+        if not _is_text(q.title):
+            findings.append(_bad_text("bad-title", q.id, q.title, "title"))
         kfs = q.prerequisites | q.objectives
         if not kfs <= tokens:
             bad = {kf for kf in kfs - tokens if not _is_token(kf)}

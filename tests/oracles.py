@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here favors obviousness over speed: closure by repeated full
-rescans, covers by exhaustive subset enumeration, a dictionary load that
-parses and then runs every validation rule. None of it imports the
+rescans, covers by exhaustive subset enumeration, the exact branch and
+bound with its first, weaker bound, a dictionary load that parses and
+then runs every validation rule. None of it imports the
 algorithms under test beyond the plain data types and the JSON decoding.
 """
 
@@ -142,14 +143,82 @@ def greedy_cover(
     return frozenset(chosen)
 
 
+# -- exact cover before the price bound --------------------------------------
+#
+# The branch and bound as it stood with its first bound (the dearest of the
+# open targets' cheapest options), copied verbatim with the selection key
+# it ranks leaves by. It visits every cover without a free-riding member,
+# so any stronger bound must still return its pick, call for call.
+
+def _selection_key(
+    chosen: Iterable[int], weights: list[int], needs: list[int]
+) -> tuple[int, int, tuple[int, ...]]:
+    """The preference order for covers of an encoded pool: lighter total
+    weight, then fewer unmet prerequisite KFs, then the smaller sorted
+    index tuple (the smaller sorted ids, as pools are sorted by id). Every
+    exact selection point in this module uses this chain, so identical
+    inputs always yield identical picks."""
+    need = 0
+    for i in chosen:
+        need |= needs[i]
+    return sum(weights[i] for i in chosen), need.bit_count(), tuple(sorted(chosen))
+
+
+def exact_cover_reference(
+    full: int, masks: list[int], weights: list[int], needs: list[int], incumbent: list[int]
+) -> list[int]:
+    """Branch and bound over the candidate pool, seeded with the greedy pick.
+
+    Branching is on the uncovered target with the fewest usable
+    candidates; the i-th option is explored with all earlier options
+    banned, which partitions the search space and visits every cover that
+    has no free-riding member exactly once. A branch is cut only when its
+    weight lower bound (the dearest of the uncovered targets' cheapest
+    options) strictly exceeds the incumbent, so equal-weight covers
+    survive for the tie-break comparison at the leaf, where covers are
+    ranked by ``_selection_key``.
+    """
+    target_bits = [1 << b for b in range(full.bit_length()) if full >> b & 1]
+    suppliers = [[i for i, mask in enumerate(masks) if mask & bit] for bit in target_bits]
+
+    best_key = _selection_key(incumbent, weights, needs)
+
+    def search(covered: int, allowed: int, chosen: list[int], weight: int) -> None:
+        nonlocal best_key
+        if covered == full:
+            best_key = min(best_key, _selection_key(chosen, weights, needs))
+            return
+        extra = 0
+        branch_options: list[int] | None = None
+        for bit, options in zip(target_bits, suppliers):
+            if covered & bit:
+                continue
+            # never empty: minimal_cover refused any target without a
+            # supplier, and a sibling bans only options of the branch bit,
+            # which has the fewest options of any open bit
+            options = [i for i in options if allowed >> i & 1]
+            extra = max(extra, min(weights[i] for i in options))
+            if branch_options is None or len(options) < len(branch_options):
+                branch_options = options
+        if weight + extra > best_key[0]:
+            return
+        for i in branch_options:
+            allowed &= ~(1 << i)  # bans i here and in every later sibling
+            search(covered | masks[i], allowed, chosen + [i], weight + weights[i])
+
+    search(0, (1 << len(masks)) - 1, [], 0)
+    return list(best_key[2])
+
+
 # -- two-pass dictionary load ------------------------------------------------
 #
 # The parser and validator as they stood before the one-pass load: the
 # parser checks every token of every list, the validator checks every
 # token again and sorts every unit's KFs, and a load raises the
 # validator's first error. The changes: the token pattern matches the
-# whole string (``^\S+$`` also accepted a trailing newline), and no
-# string read may hold a lone surrogate, which no UTF-8 output can print.
+# whole string (``^\S+$`` also accepted a trailing newline), no string
+# read may hold a lone surrogate, which no UTF-8 output can print, and the
+# validator checks the subject and titles of a dictionary built in code.
 
 _TOKEN_RE = re.compile(r"\S+")
 _TOP_LEVEL_KEYS = frozenset({"subject", "clouds", "quanta"})
@@ -184,14 +253,24 @@ def _check_token(findings: list[Finding], code: str, subject: str, value: str, w
         findings.append(Finding("error", code, subject, f"{what} {fault}"))
 
 
+def _check_text(findings: list[Finding], code: str, subject: str, value: object, what: str) -> None:
+    if not isinstance(value, str):
+        findings.append(Finding("error", code, subject, f"{what} {value!r} is not a string"))
+    elif _has_surrogate(value):
+        findings.append(Finding("error", code, subject, f"{what} {_token_fault(value)}"))
+
+
 def validate_two_pass(dictionary: LQDictionary, *, strict: bool = False) -> list[Finding]:
     findings: list[Finding] = []
+    subject = dictionary.subject
+    _check_text(findings, "bad-subject", subject if isinstance(subject, str) else repr(subject), subject, "subject")
     seen_ids: set[str] = set()
     for q in dictionary.quanta:
         _check_token(findings, "bad-id", q.id if isinstance(q.id, str) else repr(q.id), q.id, "id")
         if q.id in seen_ids:
             findings.append(Finding("error", "duplicate-id", q.id, "LQ id defined more than once"))
         seen_ids.add(q.id)
+        _check_text(findings, "bad-title", q.id, q.title, "title")
         for kf in _sorted_tokens(q.prerequisites | q.objectives):
             _check_token(findings, "bad-kf", q.id, kf, "knowledge factor")
         if not q.objectives:

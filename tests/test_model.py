@@ -159,6 +159,31 @@ def test_validate_reports_lone_surrogates():
     ]
 
 
+def test_validate_reports_bad_subject_and_titles():
+    # the parser refuses all three in a file; built in code, they reach
+    # validate_dictionary, and an int title would break digraph_to_dot
+    d = LQDictionary(
+        subject=7,
+        quanta=(
+            LearnerQuantum("A", 7, frozenset(), frozenset({"k1"})),
+            LearnerQuantum("B", "x" + LONE, frozenset(), frozenset({"k2"})),
+            LearnerQuantum("C", "Café, part 2", frozenset(), frozenset({"k3"})),
+        ),
+    )
+    assert [(f.code, f.subject, f.message) for f in validate_dictionary(d)] == [
+        ("bad-subject", "7", "subject 7 is not a string"),
+        ("bad-title", "A", "title 7 is not a string"),
+        ("bad-title", "B", "title 'x\\udc00' holds a lone surrogate, which is not a Unicode character"),
+    ]
+
+
+def test_validate_reports_lone_surrogate_in_subject():
+    d = LQDictionary(subject="s" + LONE, quanta=(LearnerQuantum("A", "t", frozenset(), frozenset({"k1"})),))
+    assert [(f.code, f.subject, f.message) for f in validate_dictionary(d)] == [
+        ("bad-subject", "s" + LONE, "subject 's\\udc00' holds a lone surrogate, which is not a Unicode character"),
+    ]
+
+
 def test_load_rejects_semantic_errors():
     doc = json.loads(D1_JSON)
     doc["quanta"].append(dict(doc["quanta"][0]))  # duplicate id A
