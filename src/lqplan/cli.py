@@ -25,7 +25,6 @@ from .model import (
     SchemaError,
     UnknownCloud,
     UnknownLQ,
-    _is_token,
     _token_fault,
     load_dictionary,
     parse_dictionary,
@@ -75,8 +74,8 @@ class _Parser(argparse.ArgumentParser):
 def _parse_kfs(text: str) -> frozenset[str]:
     tokens = [piece.strip() for piece in text.split(",") if piece.strip()]
     for token in tokens:
-        if not _is_token(token):
-            raise _UsageError(f"knowledge factor {_token_fault(token)}")
+        if fault := _token_fault(token):
+            raise _UsageError(f"knowledge factor {fault}")
     return frozenset(tokens)
 
 

@@ -251,30 +251,23 @@ def _sorted_tokens(values: Iterable[object]) -> list:
         return sorted(values, key=lambda v: (False, v) if isinstance(v, str) else (True, repr(v)))
 
 
-def _is_token(value: object) -> bool:
-    return isinstance(value, str) and _TOKEN_RE.fullmatch(value) is not None
-
-
-def _token_fault(value: object) -> str:
-    """Why the parser or validator refuses ``value``. A lone surrogate is
-    named first: it is no Unicode character, and no UTF-8 output can print it."""
-    if isinstance(value, str) and _SURROGATE_RE.search(value):
-        return f"{value!r} holds a lone surrogate, which is not a Unicode character"
+def _token_fault(value: object) -> str | None:
+    """Why ``value`` is refused as an id, KF or cloud name, or None if it is a
+    token. A lone surrogate is named first: no UTF-8 output can print it."""
+    if isinstance(value, str):
+        if _TOKEN_RE.fullmatch(value):
+            return None
+        if _SURROGATE_RE.search(value):
+            return f"{value!r} holds a lone surrogate, which is not a Unicode character"
     return f"{value!r} is not a whitespace-free token"
 
 
-def _bad_token(code: str, subject: object, value: object, what: str) -> Finding:
-    return Finding("error", code, subject, f"{what} {_token_fault(value)}")
-
-
-def _is_text(value: object) -> bool:
-    """Whether the parser accepts ``value`` as a subject or title."""
-    return isinstance(value, str) and (value.isascii() or not _SURROGATE_RE.search(value))
-
-
-def _bad_text(code: str, subject: object, value: object, what: str) -> Finding:
-    fault = _token_fault(value) if isinstance(value, str) else f"{value!r} is not a string"
-    return Finding("error", code, subject, f"{what} {fault}")
+def _text_fault(value: object) -> str | None:
+    """Why ``value`` is refused as a subject or title, or None if it is fine.
+    A string is refused only for a lone surrogate."""
+    if not isinstance(value, str):
+        return f"{value!r} is not a string"
+    return None if value.isascii() or not _SURROGATE_RE.search(value) else _token_fault(value)
 
 
 def _named(value: object) -> str:
@@ -291,15 +284,6 @@ def _is_repeat(seen: set, value: object) -> bool:
         return False
     seen.add(value)
     return repeat
-
-
-# the cross-entity errors, which validate_dictionary and load_dictionary share
-_DUPLICATE_ID = "LQ id defined more than once"
-_NO_OBJECTIVES = "objectives must be non-empty"
-
-
-def _dangling(member: object) -> str:
-    return f"member {member!r} is not a defined LQ"
 
 
 def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> list[Finding]:
@@ -321,29 +305,29 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
     the ones that fail.
     """
     findings: list[Finding] = []
-    if not _is_text(dictionary.subject):
-        findings.append(_bad_text("bad-subject", _named(dictionary.subject), dictionary.subject, "subject"))
+    if fault := _text_fault(dictionary.subject):
+        findings.append(Finding("error", "bad-subject", _named(dictionary.subject), f"subject {fault}"))
     tokens: set[str] = set()  # KFs already found to be tokens
     seen_ids: set = set()
     for q in dictionary.quanta:
-        if not _is_token(q.id):
-            findings.append(_bad_token("bad-id", _named(q.id), q.id, "id"))
+        if fault := _token_fault(q.id):
+            findings.append(Finding("error", "bad-id", _named(q.id), f"id {fault}"))
         if _is_repeat(seen_ids, q.id):
-            findings.append(Finding("error", "duplicate-id", q.id, _DUPLICATE_ID))
-        if not _is_text(q.title):
-            findings.append(_bad_text("bad-title", q.id, q.title, "title"))
+            findings.append(Finding("error", "duplicate-id", q.id, "LQ id defined more than once"))
+        if fault := _text_fault(q.title):
+            findings.append(Finding("error", "bad-title", q.id, f"title {fault}"))
         kfs = q.prerequisites | q.objectives
         if not kfs <= tokens:
-            bad = {kf for kf in kfs - tokens if not _is_token(kf)}
-            tokens.update(kfs - bad)
+            bad = {kf: fault for kf in kfs - tokens if (fault := _token_fault(kf))}
+            tokens.update(kfs - bad.keys())
             if bad:  # in the order of all the unit's KFs: a mixed-type set sorts by repr
                 findings.extend(
-                    _bad_token("bad-kf", q.id, kf, "knowledge factor")
+                    Finding("error", "bad-kf", q.id, f"knowledge factor {bad[kf]}")
                     for kf in _sorted_tokens(kfs)
                     if kf in bad
                 )
         if not q.objectives:
-            findings.append(Finding("error", "empty-objectives", q.id, _NO_OBJECTIVES))
+            findings.append(Finding("error", "empty-objectives", q.id, "objectives must be non-empty"))
         for attr, code in (("duration_minutes", "bad-duration"), ("cost", "bad-cost")):
             value = getattr(q, attr)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -360,13 +344,14 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
             )
     seen_clouds: set = set()
     for c in dictionary.clouds:
-        if not _is_token(c.name):
-            findings.append(_bad_token("bad-cloud-name", _named(c.name), c.name, "cloud name"))
+        if fault := _token_fault(c.name):
+            findings.append(Finding("error", "bad-cloud-name", _named(c.name), f"cloud name {fault}"))
         if _is_repeat(seen_clouds, c.name):
             findings.append(Finding("error", "duplicate-cloud-name", c.name, "cloud defined more than once"))
-        for member in _sorted_tokens(c.member_ids):
-            if member not in seen_ids:
-                findings.append(Finding("error", "dangling-cloud-member", c.name, _dangling(member)))
+        findings.extend(
+            Finding("error", "dangling-cloud-member", c.name, f"member {member!r} is not a defined LQ")
+            for member in _sorted_tokens(c.member_ids) if member not in seen_ids
+        )
     return findings
 
 
@@ -432,16 +417,16 @@ def _require_str(doc: dict, where: str, key: str) -> str:
     value = doc[key]
     if not isinstance(value, str):
         raise SchemaError(f"{where}.{key}", f"expected a string, got {type(value).__name__}")
-    if not value.isascii() and _SURROGATE_RE.search(value):
-        raise SchemaError(f"{where}.{key}", _token_fault(value))
+    if fault := _text_fault(value):
+        raise SchemaError(f"{where}.{key}", fault)
     return value
 
 
 def _require_token(value: object, where: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(where, f"expected a string, got {type(value).__name__}")
-    if not _TOKEN_RE.fullmatch(value):
-        raise SchemaError(where, _token_fault(value))
+    if fault := _token_fault(value):
+        raise SchemaError(where, fault)
     return value
 
 
@@ -521,26 +506,24 @@ def parse_dictionary(source: Source) -> LQDictionary:
 def load_dictionary(source: Source) -> LQDictionary:
     """Parse and fully validate a dictionary, raising on the first error.
 
-    The parser enforces every rule on a single value, and a file cannot
-    name a cloud twice, so only the rules relating entries are left: in
-    quanta order, unique ids and non-empty objectives; then, cloud by
-    cloud in sorted member order, defined members. The error raised is
-    the first one ``validate_dictionary`` would report, word for word.
+    The parser enforces every rule on a single value. A quick pass over
+    ``by_id``, which queries read next anyway, looks for a break of the
+    rules relating entries; only if it finds one does the load run
+    ``validate_dictionary`` and raise its first error.
 
     Warnings (for example prerequisite/objective overlap) do not block
     loading; use ``validate_dictionary`` directly to inspect them.
     """
     dictionary = parse_dictionary(source)
-    ids: set[str] = set()
-    for q in dictionary.quanta:
-        if q.id in ids:
-            raise SchemaError(q.id, _DUPLICATE_ID)
-        ids.add(q.id)
-        if not q.objectives:
-            raise SchemaError(q.id, _NO_OBJECTIVES)
-    for c in dictionary.clouds:
-        if not c.member_ids <= ids:
-            raise SchemaError(c.name, _dangling(min(c.member_ids - ids)))
+    ids = dictionary.by_id.keys()
+    if (
+        len(ids) < len(dictionary.quanta)
+        or not all(q.objectives for q in dictionary.quanta)
+        or not all(c.member_ids <= ids for c in dictionary.clouds)
+    ):
+        for finding in validate_dictionary(dictionary):
+            if finding.severity == "error":
+                raise SchemaError(finding.subject, finding.message)
     return dictionary
 
 

@@ -24,14 +24,27 @@ import json
 import sys
 import tempfile
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from conftest import make_cycle_trap, make_d1, make_d1_prime, make_xy_pair
 from lqplan import cli
+from lqplan.cover import CoverConfig, CoverMode, backward_resolve
 from lqplan.generate import Flavor, GenSpec, generate
-from lqplan.model import LearnerQuantum, LQCloud, LQDictionary, closure_over, serialize_dictionary
+from lqplan.model import (
+    LearnerProfile,
+    LearnerQuantum,
+    LQCloud,
+    LQDictionary,
+    LQPlanError,
+    MinimalityMetric,
+    closure_over,
+    serialize_dictionary,
+    validate_dictionary,
+)
+from lqplan.sequence import build_digraph, simulate_plan, topo_schedule
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -166,6 +179,25 @@ def test_graph_is_plan_dot_with_defaults(corpus_results):
     for name in graph_cases:
         plan_name = "plan " + name[len("graph "):] + " dot"
         assert corpus_results[name] == corpus_results[plan_name], name
+
+
+def test_golden_plans_can_be_followed():
+    """Every plan the corpus stages, under every option set, passes the
+    forward simulation: a unit is never staged before what it needs."""
+    for dict_name, dictionary, queries in corpus_inputs():
+        if any(f.severity == "error" for f in validate_dictionary(dictionary)):
+            continue  # every load refuses it
+        for query_name, known, target, cloud in queries:
+            profile = LearnerProfile(frozenset(filter(None, known.split(","))), frozenset(target.split(",")))
+            for mode, metric, reuse in product(CoverMode, MinimalityMetric, (True, False)):
+                config = CoverConfig(metric, mode, reuse)
+                try:
+                    trace = backward_resolve(profile, dictionary, cloud, config)
+                    plan = topo_schedule(build_digraph(trace.solution, dictionary, profile), dictionary)
+                except LQPlanError:
+                    continue
+                verdict = simulate_plan(plan, dictionary, profile)
+                assert verdict.ok, (dict_name, query_name, config, verdict)
 
 
 def test_graph_on_cycle_exits_3(corpus_results):

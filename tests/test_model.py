@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import KF_POOL, make_d1_prime, profiles, quanta_lists, small_dictionaries
+from lqplan import model
 from lqplan.model import (
     LearnerProfile,
     LearnerQuantum,
@@ -202,6 +204,29 @@ def test_load_rejects_semantic_errors():
     with pytest.raises(SchemaError) as err:
         load_dictionary(json.dumps(doc).encode())
     assert "ZZZ" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "break_rule",
+    [
+        lambda doc: doc["quanta"].append(dict(doc["quanta"][0])),
+        lambda doc: doc["quanta"][1].update(objectives=[]),
+        lambda doc: doc["clouds"]["core"].extend(["ZZZ", "YYY"]),
+    ],
+    ids=["duplicate-id", "empty-objectives", "dangling-cloud-member"],
+)
+def test_load_raises_the_validators_first_error_only_when_a_rule_breaks(break_rule):
+    with mock.patch.object(model, "validate_dictionary", wraps=model.validate_dictionary) as spy:
+        load_dictionary(D1_JSON)
+        assert spy.call_count == 0
+        doc = json.loads(D1_JSON)
+        break_rule(doc)
+        data = json.dumps(doc).encode()
+        with pytest.raises(SchemaError) as err:
+            load_dictionary(data)
+        assert spy.call_count == 1
+    first = next(f for f in validate_dictionary(parse_dictionary(data)) if f.severity == "error")
+    assert (err.value.where, err.value.reason) == (first.subject, first.message)
 
 
 def test_overlap_is_warning_unless_strict():
