@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -200,6 +201,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing leaves the tree as it was; handlers look their collaborators up per call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lqplan", description="Learning-path planning over a quanta dictionary")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)

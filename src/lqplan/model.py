@@ -10,12 +10,15 @@ generation) works on the types defined here.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import IO, Iterable, Union
 
 KFSet = frozenset[str]
@@ -430,23 +433,28 @@ def _require_token(value: object, where: str) -> str:
     return value
 
 
-def _tokens(items: list, where: str, tokens: set[str]) -> frozenset[str]:
-    """The items as a set, each required to be a token. ``tokens`` holds the
-    strings this parse has accepted so far: they are not checked again, and
-    newly accepted ones join them. The first bad item, in list order, raises."""
+def _tokens(items: list, where: str) -> frozenset[str]:
+    """The items as a set, each required to be a token. A list of tokens is
+    accepted with one match per distinct item; any other list is walked in
+    order, and its first bad item raises."""
+    try:
+        distinct = frozenset(items)
+        if all(map(_TOKEN_RE.fullmatch, distinct)):
+            return distinct
+    except TypeError:  # an item that is unhashable or not a string
+        pass
     for i, item in enumerate(items):
-        if not (isinstance(item, str) and item in tokens):
-            tokens.add(_require_token(item, f"{where}[{i}]"))
+        _require_token(item, f"{where}[{i}]")
     return frozenset(items)
 
 
-def _token_list(doc: dict, where: str, key: str, tokens: set[str]) -> frozenset[str]:
+def _token_list(doc: dict, where: str, key: str) -> frozenset[str]:
     if key not in doc:
         raise SchemaError(f"{where}.{key}", "missing required key")
     value = doc[key]
     if not isinstance(value, list):
         raise SchemaError(f"{where}.{key}", f"expected a list, got {type(value).__name__}")
-    return _tokens(value, f"{where}.{key}", tokens)
+    return _tokens(value, f"{where}.{key}")
 
 
 def _optional_count(doc: dict, where: str, key: str) -> int:
@@ -460,15 +468,48 @@ def _optional_count(doc: dict, where: str, key: str) -> int:
     return value
 
 
+def _bulk_quanta(entries: list) -> list[LearnerQuantum] | None:
+    """The quanta of a ``quanta`` list that breaks no rule, or None.
+
+    Each rule is checked over a whole column at once, in C: the types of
+    each field, the keys, one ``fullmatch`` per id and per distinct KF,
+    one surrogate search over all titles and the least count. None means
+    some entry is faulty, and the caller walks the entries to name it.
+    """
+    if not set(map(type, entries)) <= {dict} or not _QUANTUM_KEYS.issuperset(chain.from_iterable(entries)):
+        return None
+    try:
+        ids, titles, prerequisites, objectives = (
+            list(map(itemgetter(key), entries)) for key in ("id", "title", "prerequisites", "objectives")
+        )
+        kfs = set(chain.from_iterable(chain(prerequisites, objectives)))
+    except (KeyError, TypeError):  # a missing key, a KF "list" not iterable, an unhashable KF
+        return None
+    durations = [entry.get("duration_minutes", 0) for entry in entries]
+    costs = [entry.get("cost", 0) for entry in entries]
+    if (
+        set(map(type, chain(prerequisites, objectives))) <= {list}
+        and set(map(type, chain(ids, titles, kfs))) <= {str}
+        and set(map(type, chain(durations, costs))) <= {int}
+        and min(chain(durations, costs), default=0) >= 0
+        and not _SURROGATE_RE.search("".join(titles))
+        and all(map(_TOKEN_RE.fullmatch, chain(ids, kfs)))
+    ):
+        return list(map(LearnerQuantum, ids, titles, prerequisites, objectives, durations, costs))
+    return None
+
+
 def parse_dictionary(source: Source) -> LQDictionary:
     """Parse dictionary JSON, checking structure only.
 
-    Shape, types, tokens and unknown keys are enforced here, each distinct
-    token string matched once; cross-entity rules (duplicate ids, dangling
-    cloud members, ...) are left to ``load_dictionary`` and
-    ``validate_dictionary``, so a validation front end can list them all.
+    Shape, types, tokens and unknown keys are enforced here. A valid
+    ``quanta`` list is accepted in bulk, one check per field over all
+    entries (``_bulk_quanta``). Only when one of those checks fails are the
+    entries walked one by one, to raise on the first fault with its JSON
+    path. Cross-entity rules (duplicate ids, dangling cloud members, ...)
+    are left to ``load_dictionary`` and ``validate_dictionary``, so a
+    validation front end can list them all.
     """
-    tokens: set[str] = set()
     doc = _require_object(_parse_json(source), "", _TOP_LEVEL_KEYS)
     subject = _require_str(doc, "$", "subject")
     if "quanta" not in doc:
@@ -476,20 +517,22 @@ def parse_dictionary(source: Source) -> LQDictionary:
     raw_quanta = doc["quanta"]
     if not isinstance(raw_quanta, list):
         raise SchemaError("$.quanta", f"expected a list, got {type(raw_quanta).__name__}")
-    quanta = []
-    for i, item in enumerate(raw_quanta):
-        where = f"$.quanta[{i}]"
-        entry = _require_object(item, where, _QUANTUM_KEYS)
-        quanta.append(
-            LearnerQuantum(
-                id=_require_token(_require_str(entry, where, "id"), f"{where}.id"),
-                title=_require_str(entry, where, "title"),
-                prerequisites=_token_list(entry, where, "prerequisites", tokens),
-                objectives=_token_list(entry, where, "objectives", tokens),
-                duration_minutes=_optional_count(entry, where, "duration_minutes"),
-                cost=_optional_count(entry, where, "cost"),
+    quanta = _bulk_quanta(raw_quanta)
+    if quanta is None:
+        quanta = []
+        for i, item in enumerate(raw_quanta):
+            where = f"$.quanta[{i}]"
+            entry = _require_object(item, where, _QUANTUM_KEYS)
+            quanta.append(
+                LearnerQuantum(
+                    id=_require_token(_require_str(entry, where, "id"), f"{where}.id"),
+                    title=_require_str(entry, where, "title"),
+                    prerequisites=_token_list(entry, where, "prerequisites"),
+                    objectives=_token_list(entry, where, "objectives"),
+                    duration_minutes=_optional_count(entry, where, "duration_minutes"),
+                    cost=_optional_count(entry, where, "cost"),
+                )
             )
-        )
     clouds = []
     raw_clouds = doc.get("clouds", {})
     if not isinstance(raw_clouds, dict):
@@ -499,7 +542,7 @@ def parse_dictionary(source: Source) -> LQDictionary:
         _require_token(name, where)
         if not isinstance(members, list):
             raise SchemaError(where, f"expected a list, got {type(members).__name__}")
-        clouds.append(LQCloud(name, _tokens(members, where, tokens)))
+        clouds.append(LQCloud(name, _tokens(members, where)))
     return LQDictionary(subject=subject, quanta=tuple(quanta), clouds=tuple(clouds))
 
 
@@ -511,10 +554,23 @@ def load_dictionary(source: Source) -> LQDictionary:
     rules relating entries; only if it finds one does the load run
     ``validate_dictionary`` and raise its first error.
 
+    The cyclic garbage collector is paused while the file is parsed, if it
+    was running, and restored even when the parse raises: the parse builds
+    tens of thousands of objects and no reference cycle among them, so a
+    collection in the middle would walk them and free nothing.
+    ``gc.freeze`` is not used, because it would also move the caller's
+    objects out of reach of collection.
+
     Warnings (for example prerequisite/objective overlap) do not block
     loading; use ``validate_dictionary`` directly to inspect them.
     """
-    dictionary = parse_dictionary(source)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        dictionary = parse_dictionary(source)
+    finally:
+        if collecting:
+            gc.enable()
     ids = dictionary.by_id.keys()
     if (
         len(ids) < len(dictionary.quanta)
@@ -530,9 +586,8 @@ def load_dictionary(source: Source) -> LQDictionary:
 def parse_profile(source: Source) -> LearnerProfile:
     """Parse learner-profile JSON with ``known`` and ``target`` KF lists."""
     doc = _require_object(_parse_json(source), "", _PROFILE_KEYS)
-    tokens: set[str] = set()
-    known = _token_list(doc, "$", "known", tokens) if "known" in doc else frozenset()
-    return LearnerProfile(known=known, target=_token_list(doc, "$", "target", tokens))
+    known = _token_list(doc, "$", "known") if "known" in doc else frozenset()
+    return LearnerProfile(known=known, target=_token_list(doc, "$", "target"))
 
 
 def serialize_dictionary(dictionary: LQDictionary) -> bytes:

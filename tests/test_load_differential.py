@@ -1,7 +1,8 @@
 """The one-pass load against the two-pass oracle.
 
-``load_dictionary`` checks each distinct token once while parsing and
-then runs only the rules that relate entries. ``oracles.load_two_pass``
+``load_dictionary`` accepts a valid file in bulk, checking each distinct
+token once, walks a faulty one entry by entry to name its first fault,
+and then runs only the rules that relate entries. ``oracles.load_two_pass``
 parses and then runs every validation rule, as the load used to. On any
 file both must raise the same exception with the same message, or return
 equal dictionaries, and ``validate_dictionary`` must list the same
@@ -132,10 +133,34 @@ def check_against_oracle(data: bytes) -> None:
             assert validate_dictionary(dictionary, strict=strict) == expected
 
 
+def after_valid(*entries: object) -> bytes:
+    """A file of two valid units followed by ``entries``, for faults that a
+    column check must find past the first rows."""
+    valid = [{"id": f"U{i}", "title": "t", "prerequisites": [], "objectives": ["k1"]} for i in range(2)]
+    return json.dumps({"subject": "s", "quanta": valid + list(entries)}).encode("utf-8")
+
+
+def unit(**fields: object) -> dict:
+    return {"id": "Z", "title": "t", "prerequisites": ["k1"], "objectives": ["k2"], **fields}
+
+
 @given(data=st.one_of(mutated_files(), repeated_bad_kf_files()))
 # bad KFs that sort among themselves but not with the unit's good ones
 @example(data=b'{"subject": "s", "quanta": [{"id": "A", "title": "t", "prerequisites": [10, "k1"], '
              b'"objectives": [7]}]}')
+# faults the bulk accept must not let through: tokens joined by spaces
+# before one match would take "k 1"; an unhashable KF cannot join a set
+@example(data=after_valid(unit(objectives=["k2", "k 1"])))
+@example(data=after_valid(unit(prerequisites=[["k1"]])))
+@example(data=after_valid(unit(duration_minutes=True)))
+@example(data=after_valid(unit(cost=1.0)))
+@example(data=after_valid(unit(cost=-1)))
+@example(data=after_valid(unit(title="x\udc00")))
+@example(data=after_valid(unit(title=None)))
+@example(data=after_valid(7))
+@example(data=after_valid({"id": "Z", "prerequisites": [], "objectives": ["k2"]}))
+@example(data=after_valid(unit(level=1)))
+@example(data=b'{"subject": "s", "quanta": []}')
 @settings(max_examples=300, deadline=None)
 def test_load_and_validate_match_two_pass_oracle(data):
     check_against_oracle(data)

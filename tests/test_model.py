@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 from unittest import mock
 
@@ -26,7 +27,7 @@ from lqplan.model import (
     serialize_profile,
     validate_dictionary,
 )
-from oracles import closure_by_rescan
+from oracles import closure_by_rescan, load_two_pass
 
 D1_JSON = b"""
 {
@@ -227,6 +228,43 @@ def test_load_raises_the_validators_first_error_only_when_a_rule_breaks(break_ru
         assert spy.call_count == 1
     first = next(f for f in validate_dictionary(parse_dictionary(data)) if f.severity == "error")
     assert (err.value.where, err.value.reason) == (first.subject, first.message)
+
+
+def test_a_valid_file_never_enters_the_row_walk():
+    # the row walk reads every entry's counts through _optional_count
+    with mock.patch.object(model, "_optional_count", side_effect=AssertionError("row walk entered")):
+        d = load_dictionary(D1_JSON)
+        with pytest.raises(AssertionError, match="row walk entered"):
+            load_dictionary(D1_JSON.replace(b'"cost": 7', b'"cost": -7'))
+    assert d == load_two_pass(D1_JSON)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "data, error",
+    [(D1_JSON, None), (b"{not json", ParseError), (D1_JSON.replace(b'"k4"', b'"k 4"'), SchemaError)],
+    ids=["valid", "parse-error", "schema-error"],
+)
+def test_load_pauses_the_collector_and_restores_it(collecting, data, error):
+    seen = []
+
+    def parse(source):
+        seen.append(gc.isenabled())
+        return parse_dictionary(source)
+
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with mock.patch.object(model, "parse_dictionary", parse):
+            if error is None:
+                load_dictionary(data)
+            else:
+                with pytest.raises(error):
+                    load_dictionary(data)
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_overlap_is_warning_unless_strict():
