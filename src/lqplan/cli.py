@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Unreadable as exc:
         print(f"lqplan: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # a closed pipe, or a stdout that cannot encode a path
         print(f"lqplan: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # a bug, not a verdict on the input: keep it off exits 1-4

@@ -303,14 +303,13 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
       - every cloud member resolves to a defined LQ
 
     A dictionary built in code never went through the file parser, so type
-    and token checks are repeated here rather than trusted. Each distinct
-    KF is matched once per call, and a unit's KFs are sorted only to list
-    the ones that fail.
+    and token checks are repeated here rather than trusted. A unit's KFs
+    are sorted only to list the ones that fail. A valid file is loaded
+    without this pass, so it keeps no memo of the KFs already matched.
     """
     findings: list[Finding] = []
     if fault := _text_fault(dictionary.subject):
         findings.append(Finding("error", "bad-subject", _named(dictionary.subject), f"subject {fault}"))
-    tokens: set[str] = set()  # KFs already found to be tokens
     seen_ids: set = set()
     for q in dictionary.quanta:
         if fault := _token_fault(q.id):
@@ -320,15 +319,13 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
         if fault := _text_fault(q.title):
             findings.append(Finding("error", "bad-title", q.id, f"title {fault}"))
         kfs = q.prerequisites | q.objectives
-        if not kfs <= tokens:
-            bad = {kf: fault for kf in kfs - tokens if (fault := _token_fault(kf))}
-            tokens.update(kfs - bad.keys())
-            if bad:  # in the order of all the unit's KFs: a mixed-type set sorts by repr
-                findings.extend(
-                    Finding("error", "bad-kf", q.id, f"knowledge factor {bad[kf]}")
-                    for kf in _sorted_tokens(kfs)
-                    if kf in bad
-                )
+        bad = {kf: fault for kf in kfs if (fault := _token_fault(kf))}
+        if bad:  # in the order of all the unit's KFs: a mixed-type set sorts by repr
+            findings.extend(
+                Finding("error", "bad-kf", q.id, f"knowledge factor {bad[kf]}")
+                for kf in _sorted_tokens(kfs)
+                if kf in bad
+            )
         if not q.objectives:
             findings.append(Finding("error", "empty-objectives", q.id, "objectives must be non-empty"))
         for attr, code in (("duration_minutes", "bad-duration"), ("cost", "bad-cost")):
@@ -410,7 +407,7 @@ def _require_object(doc: object, where: str, allowed: frozenset[str]) -> dict:
         raise SchemaError(where, f"expected an object, got {type(doc).__name__}")
     for key in doc:
         if key not in allowed:
-            raise SchemaError(f"{where}.{key}" if where else key, "unknown key")
+            raise SchemaError(f"{where}.{key}", "unknown key")
     return doc
 
 
@@ -434,15 +431,8 @@ def _require_token(value: object, where: str) -> str:
 
 
 def _tokens(items: list, where: str) -> frozenset[str]:
-    """The items as a set, each required to be a token. A list of tokens is
-    accepted with one match per distinct item; any other list is walked in
-    order, and its first bad item raises."""
-    try:
-        distinct = frozenset(items)
-        if all(map(_TOKEN_RE.fullmatch, distinct)):
-            return distinct
-    except TypeError:  # an item that is unhashable or not a string
-        pass
+    """The items as a set, each required to be a token; the first bad item
+    raises, with its position in ``where``."""
     for i, item in enumerate(items):
         _require_token(item, f"{where}[{i}]")
     return frozenset(items)
@@ -468,57 +458,76 @@ def _optional_count(doc: dict, where: str, key: str) -> int:
     return value
 
 
-def _bulk_quanta(entries: list) -> list[LearnerQuantum] | None:
-    """The quanta of a ``quanta`` list that breaks no rule, or None.
+def _bulk_accept(entries: list, clouds: object) -> tuple[list[LearnerQuantum], list[LQCloud]] | None:
+    """The quanta and clouds of a file that breaks no rule, or None.
 
     Each rule is checked over a whole column at once, in C: the types of
-    each field, the keys, one ``fullmatch`` per id and per distinct KF,
-    one surrogate search over all titles and the least count. None means
-    some entry is faulty, and the caller walks the entries to name it.
+    each field, the keys, one ``fullmatch`` per id, per distinct KF, per
+    cloud name and per distinct cloud member, one surrogate search over
+    all titles and the least count. None means some entry or cloud is
+    faulty, and the caller walks the file to name the first fault.
     """
-    if not set(map(type, entries)) <= {dict} or not _QUANTUM_KEYS.issuperset(chain.from_iterable(entries)):
+    if (
+        not set(map(type, entries)) <= {dict}
+        or not _QUANTUM_KEYS.issuperset(chain.from_iterable(entries))
+        or not isinstance(clouds, dict)
+        or not set(map(type, clouds.values())) <= {list}
+    ):
         return None
     try:
         ids, titles, prerequisites, objectives = (
             list(map(itemgetter(key), entries)) for key in ("id", "title", "prerequisites", "objectives")
         )
         kfs = set(chain.from_iterable(chain(prerequisites, objectives)))
-    except (KeyError, TypeError):  # a missing key, a KF "list" not iterable, an unhashable KF
+        members = set(chain.from_iterable(clouds.values()))
+    except (KeyError, TypeError):  # a missing key, a KF "list" not iterable, an unhashable KF or member
         return None
     durations = [entry.get("duration_minutes", 0) for entry in entries]
     costs = [entry.get("cost", 0) for entry in entries]
     if (
         set(map(type, chain(prerequisites, objectives))) <= {list}
-        and set(map(type, chain(ids, titles, kfs))) <= {str}
+        and set(map(type, chain(ids, titles, kfs, members))) <= {str}
         and set(map(type, chain(durations, costs))) <= {int}
         and min(chain(durations, costs), default=0) >= 0
         and not _SURROGATE_RE.search("".join(titles))
-        and all(map(_TOKEN_RE.fullmatch, chain(ids, kfs)))
+        and all(map(_TOKEN_RE.fullmatch, chain(ids, kfs, clouds, members)))
     ):
-        return list(map(LearnerQuantum, ids, titles, prerequisites, objectives, durations, costs))
+        quanta = list(map(LearnerQuantum, ids, titles, prerequisites, objectives, durations, costs))
+        return quanta, list(map(LQCloud, clouds, clouds.values()))
     return None
 
 
 def parse_dictionary(source: Source) -> LQDictionary:
     """Parse dictionary JSON, checking structure only.
 
-    Shape, types, tokens and unknown keys are enforced here. A valid
-    ``quanta`` list is accepted in bulk, one check per field over all
-    entries (``_bulk_quanta``). Only when one of those checks fails are the
-    entries walked one by one, to raise on the first fault with its JSON
-    path. Cross-entity rules (duplicate ids, dangling cloud members, ...)
-    are left to ``load_dictionary`` and ``validate_dictionary``, so a
+    Shape, types, tokens and unknown keys are enforced here. A valid file
+    is accepted in bulk, one check per field over all units and clouds
+    (``_bulk_accept``). Only when one of those checks fails are the units
+    and clouds walked one by one, to raise on the first fault with its
+    JSON path. Cross-entity rules (duplicate ids, dangling cloud members,
+    ...) are left to ``load_dictionary`` and ``validate_dictionary``, so a
     validation front end can list them all.
+
+    The cyclic garbage collector is paused while the file is decoded and
+    checked, if it was running, and restored even when the parse raises:
+    the parse builds tens of thousands of objects and no reference cycle
+    among them, so a collection in the middle would walk them and free
+    nothing. ``gc.freeze`` is not used, because it would also move the
+    caller's objects out of reach of collection.
     """
-    doc = _require_object(_parse_json(source), "", _TOP_LEVEL_KEYS)
-    subject = _require_str(doc, "$", "subject")
-    if "quanta" not in doc:
-        raise SchemaError("$.quanta", "missing required key")
-    raw_quanta = doc["quanta"]
-    if not isinstance(raw_quanta, list):
-        raise SchemaError("$.quanta", f"expected a list, got {type(raw_quanta).__name__}")
-    quanta = _bulk_quanta(raw_quanta)
-    if quanta is None:
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        doc = _require_object(_parse_json(source), "$", _TOP_LEVEL_KEYS)
+        subject = _require_str(doc, "$", "subject")
+        if "quanta" not in doc:
+            raise SchemaError("$.quanta", "missing required key")
+        raw_quanta, raw_clouds = doc["quanta"], doc.get("clouds", {})
+        if not isinstance(raw_quanta, list):
+            raise SchemaError("$.quanta", f"expected a list, got {type(raw_quanta).__name__}")
+        accepted = _bulk_accept(raw_quanta, raw_clouds)
+        if accepted is not None:
+            return LQDictionary(subject, *accepted)
         quanta = []
         for i, item in enumerate(raw_quanta):
             where = f"$.quanta[{i}]"
@@ -533,44 +542,33 @@ def parse_dictionary(source: Source) -> LQDictionary:
                     cost=_optional_count(entry, where, "cost"),
                 )
             )
-    clouds = []
-    raw_clouds = doc.get("clouds", {})
-    if not isinstance(raw_clouds, dict):
-        raise SchemaError("$.clouds", f"expected an object, got {type(raw_clouds).__name__}")
-    for name, members in raw_clouds.items():
-        where = f"$.clouds.{name}"
-        _require_token(name, where)
-        if not isinstance(members, list):
-            raise SchemaError(where, f"expected a list, got {type(members).__name__}")
-        clouds.append(LQCloud(name, _tokens(members, where)))
-    return LQDictionary(subject=subject, quanta=tuple(quanta), clouds=tuple(clouds))
+        clouds = []
+        if not isinstance(raw_clouds, dict):
+            raise SchemaError("$.clouds", f"expected an object, got {type(raw_clouds).__name__}")
+        for name, members in raw_clouds.items():
+            where = f"$.clouds.{name}"
+            _require_token(name, where)
+            if not isinstance(members, list):
+                raise SchemaError(where, f"expected a list, got {type(members).__name__}")
+            clouds.append(LQCloud(name, _tokens(members, where)))
+        return LQDictionary(subject=subject, quanta=tuple(quanta), clouds=tuple(clouds))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load_dictionary(source: Source) -> LQDictionary:
     """Parse and fully validate a dictionary, raising on the first error.
 
-    The parser enforces every rule on a single value. A quick pass over
-    ``by_id``, which queries read next anyway, looks for a break of the
-    rules relating entries; only if it finds one does the load run
-    ``validate_dictionary`` and raise its first error.
-
-    The cyclic garbage collector is paused while the file is parsed, if it
-    was running, and restored even when the parse raises: the parse builds
-    tens of thousands of objects and no reference cycle among them, so a
-    collection in the middle would walk them and free nothing.
-    ``gc.freeze`` is not used, because it would also move the caller's
-    objects out of reach of collection.
+    The parser enforces every rule on a single value, with the collector
+    paused. A quick pass over ``by_id``, which queries read next anyway,
+    looks for a break of the rules relating entries; only if it finds one
+    does the load run ``validate_dictionary`` and raise its first error.
 
     Warnings (for example prerequisite/objective overlap) do not block
     loading; use ``validate_dictionary`` directly to inspect them.
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        dictionary = parse_dictionary(source)
-    finally:
-        if collecting:
-            gc.enable()
+    dictionary = parse_dictionary(source)
     ids = dictionary.by_id.keys()
     if (
         len(ids) < len(dictionary.quanta)
@@ -585,7 +583,7 @@ def load_dictionary(source: Source) -> LQDictionary:
 
 def parse_profile(source: Source) -> LearnerProfile:
     """Parse learner-profile JSON with ``known`` and ``target`` KF lists."""
-    doc = _require_object(_parse_json(source), "", _PROFILE_KEYS)
+    doc = _require_object(_parse_json(source), "$", _PROFILE_KEYS)
     known = _token_list(doc, "$", "known") if "known" in doc else frozenset()
     return LearnerProfile(known=known, target=_token_list(doc, "$", "target"))
 

@@ -308,7 +308,7 @@ def _require_object(doc: object, where: str, allowed: frozenset[str]) -> dict:
         raise SchemaError(where, f"expected an object, got {type(doc).__name__}")
     for key in doc:
         if key not in allowed:
-            raise SchemaError(f"{where}.{key}" if where else key, "unknown key")
+            raise SchemaError(f"{where}.{key}", "unknown key")
     return doc
 
 
@@ -353,7 +353,7 @@ def _optional_count(doc: dict, where: str, key: str) -> int:
 
 
 def parse_two_pass(source) -> LQDictionary:
-    doc = _require_object(_parse_json(source), "", _TOP_LEVEL_KEYS)
+    doc = _require_object(_parse_json(source), "$", _TOP_LEVEL_KEYS)
     subject = _require_str(doc, "$", "subject")
     if "quanta" not in doc:
         raise SchemaError("$.quanta", "missing required key")

@@ -415,26 +415,37 @@ def test_closed_stdout_is_a_write_failure(d1_file):
         ("title", "Direct \ud800route", ["plan", "--known", "k1", "--target", "k3", "--format", "dot"],
          "$.quanta[2].title"),
         ("duplicate id", "\udc00", ["validate"], "$.quanta[3].id"),
+        # the byte 0xff of a --out prefix, which the OS takes but a UTF-8 stdout cannot print;
+        # this wrote both files, then exited 5
+        ("out", "x\udcff", ["gen", "--seed", "1", "--lqs", "5", "--kfs", "6", "--out"], None),
     ],
 )
 def test_lone_surrogate_is_invalid_input(d1, tmp_path, field, value, argv, where):
-    quanta = list(d1.quanta)
-    if field == "duplicate id":
-        quanta += [replace(quanta[0], id=value), replace(quanta[1], id=value)]
+    if field == "out":
+        argv = argv + [str(tmp_path / value)]
     else:
-        quanta[2] = replace(quanta[2], **{field: value})
-    path = tmp_path / "lone.json"
-    path.write_bytes(serialize_dictionary(LQDictionary("s", tuple(quanta))))
-    assert b"\\ud" in path.read_bytes()
-    argv = argv[:1] + ([str(path)] if argv[0] == "validate" else ["--dict", str(path)]) + argv[1:]
+        quanta = list(d1.quanta)
+        if field == "duplicate id":
+            quanta += [replace(quanta[0], id=value), replace(quanta[1], id=value)]
+        else:
+            quanta[2] = replace(quanta[2], **{field: value})
+        path = tmp_path / "lone.json"
+        path.write_bytes(serialize_dictionary(LQDictionary("s", tuple(quanta))))
+        assert b"\\ud" in path.read_bytes()
+        argv = argv[:1] + ([str(path)] if argv[0] == "validate" else ["--dict", str(path)]) + argv[1:]
     # a strict UTF-8 stdout, as under any UTF-8 locale; StringIO accepts any str
     result = subprocess.run(
         [sys.executable, "-m", "lqplan", *argv], capture_output=True, text=True,
         env={**os.environ, "PYTHONIOENCODING": "utf-8"},
     )
     assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr.startswith(f"lqplan: invalid input: {where}: ")
-    assert result.stderr.endswith("holds a lone surrogate, which is not a Unicode character\n")
+    if where is None:
+        assert result.stderr.startswith("lqplan: cannot write output: ")
+        assert result.stderr.endswith("surrogates not allowed\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [value + ".dict.json", value + ".profile.json"]
+    else:
+        assert result.stderr.startswith(f"lqplan: invalid input: {where}: ")
+        assert result.stderr.endswith("holds a lone surrogate, which is not a Unicode character\n")
 
 
 def test_module_entry_point_matches_in_process(capsys, d1_file):

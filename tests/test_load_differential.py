@@ -133,11 +133,12 @@ def check_against_oracle(data: bytes) -> None:
             assert validate_dictionary(dictionary, strict=strict) == expected
 
 
-def after_valid(*entries: object) -> bytes:
-    """A file of two valid units followed by ``entries``, for faults that a
-    column check must find past the first rows."""
+def after_valid(*entries: object, **doc: object) -> bytes:
+    """A file of two valid units, U0 and U1, followed by ``entries`` and
+    with the top-level keys ``doc``, for faults that a column check must
+    find past the first rows."""
     valid = [{"id": f"U{i}", "title": "t", "prerequisites": [], "objectives": ["k1"]} for i in range(2)]
-    return json.dumps({"subject": "s", "quanta": valid + list(entries)}).encode("utf-8")
+    return json.dumps({"subject": "s", "quanta": valid + list(entries), **doc}).encode("utf-8")
 
 
 def unit(**fields: object) -> dict:
@@ -161,6 +162,16 @@ def unit(**fields: object) -> dict:
 @example(data=after_valid({"id": "Z", "prerequisites": [], "objectives": ["k2"]}))
 @example(data=after_valid(unit(level=1)))
 @example(data=b'{"subject": "s", "quanta": []}')
+@example(data=b'{"subject": "s"}')
+# cloud faults after valid units, which the same bulk pass must refuse
+@example(data=after_valid(clouds={"c1": [["U0"]]}))
+@example(data=after_valid(clouds={"c1": ["U0", "a b"]}))
+@example(data=after_valid(clouds={"c1": ["U0", 7]}))
+@example(data=after_valid(clouds={"c1": "U0"}))
+@example(data=after_valid(clouds=[]))
+@example(data=after_valid(clouds={"c1": ["U0"], "c 3": ["U1"]}))
+# a repeated member is matched once, within the bound
+@example(data=after_valid(clouds={"c1": ["U0", "U0"]}))
 @settings(max_examples=300, deadline=None)
 def test_load_and_validate_match_two_pass_oracle(data):
     check_against_oracle(data)

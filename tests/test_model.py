@@ -76,7 +76,7 @@ def test_malformed_json_is_parse_error():
 @pytest.mark.parametrize(
     "mutate, needle",
     [
-        (lambda doc: doc.update(extra=1), "extra"),
+        (lambda doc: doc.update(extra=1), "$.extra: unknown key"),
         (lambda doc: doc["quanta"][0].update(level=3), "level"),
         (lambda doc: doc["quanta"][0].update(duration_minutes=-5), "duration_minutes"),
         (lambda doc: doc["quanta"][0].update(duration_minutes="long"), "duration_minutes"),
@@ -98,6 +98,14 @@ def test_structural_schema_errors(mutate, needle):
     with pytest.raises(SchemaError) as err:
         parse_dictionary(json.dumps(doc).encode())
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("parse", [parse_dictionary, parse_profile])
+def test_the_document_root_is_named_dollar(parse):
+    with pytest.raises(SchemaError, match=r"^\$: expected an object, got list$"):
+        parse(b"[]")
+    with pytest.raises(SchemaError, match=r"^\$\.extra: unknown key$"):
+        parse(b'{"extra": 1}')
 
 
 @pytest.mark.parametrize(
@@ -231,36 +239,41 @@ def test_load_raises_the_validators_first_error_only_when_a_rule_breaks(break_ru
 
 
 def test_a_valid_file_never_enters_the_row_walk():
-    # the row walk reads every entry's counts through _optional_count
-    with mock.patch.object(model, "_optional_count", side_effect=AssertionError("row walk entered")):
+    # the row walk reads every entry's counts through _optional_count, and
+    # its KF lists and every cloud's members through _tokens; D1_JSON has a cloud
+    walk_entered = AssertionError("row walk entered")
+    with mock.patch.object(model, "_optional_count", side_effect=walk_entered), \
+            mock.patch.object(model, "_tokens", side_effect=walk_entered):
         d = load_dictionary(D1_JSON)
         with pytest.raises(AssertionError, match="row walk entered"):
             load_dictionary(D1_JSON.replace(b'"cost": 7', b'"cost": -7'))
     assert d == load_two_pass(D1_JSON)
 
 
+@pytest.mark.parametrize("parse", [parse_dictionary, load_dictionary])
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize(
     "data, error",
     [(D1_JSON, None), (b"{not json", ParseError), (D1_JSON.replace(b'"k4"', b'"k 4"'), SchemaError)],
     ids=["valid", "parse-error", "schema-error"],
 )
-def test_load_pauses_the_collector_and_restores_it(collecting, data, error):
+def test_load_pauses_the_collector_and_restores_it(parse, collecting, data, error):
     seen = []
+    decode = model._parse_json
 
-    def parse(source):
+    def parse_json(source):
         seen.append(gc.isenabled())
-        return parse_dictionary(source)
+        return decode(source)
 
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
-        with mock.patch.object(model, "parse_dictionary", parse):
+        with mock.patch.object(model, "_parse_json", parse_json):
             if error is None:
-                load_dictionary(data)
+                parse(data)
             else:
                 with pytest.raises(error):
-                    load_dictionary(data)
+                    parse(data)
         assert seen == [False]
         assert gc.isenabled() is collecting
     finally:
