@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heapreplace
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import (
     KFSet,
@@ -46,8 +46,10 @@ class CoverConfig:
     off follows the strictest reading of backward chaining, at the price
     of redundant picks and dead ends (8% of queries at 40 units, 28% at
     200 and 2% at 2k dead-ended where reuse found a plan). Exact mode
-    refuses a pool of more than ``MAX_EXACT_CANDIDATES`` relevant
-    candidates; greedy mode has no cap.
+    solves a larger pool by its independent components (see
+    ``minimal_cover``) and refuses it only when one component holds more
+    than ``MAX_EXACT_CANDIDATES`` relevant candidates; greedy mode has no
+    cap.
     """
 
     metric: MinimalityMetric = MinimalityMetric.COUNT
@@ -113,7 +115,8 @@ class NoCover(LQPlanError):
 
 
 class ExactTooLarge(LQPlanError):
-    """Exact mode was asked to search a pool beyond its configured cap."""
+    """Exact mode was asked to search a pool component beyond its
+    configured cap; ``count`` is the size of the largest component."""
 
     def __init__(self, count: int, bound: int):
         self.count = count
@@ -198,6 +201,16 @@ def minimal_cover(
     exact search skips only covers that cannot win the key, so its bound
     changes how long it takes, never what it picks.
 
+    A pool of more than ``MAX_EXACT_CANDIDATES`` members is split, in
+    exact mode, into its independent components: targets that share a
+    member fall in one component, and each is searched on its own, seeded
+    with the greedy picks that fall in it. The cap holds per component;
+    the largest one over it raises ``ExactTooLarge``. Weights add up
+    across components, so the union of their picks is a lightest cover;
+    the unmet-prerequisite count and the id tuple of the key are taken
+    per component. A pool within the cap is one component, searched
+    under the whole key.
+
     Both solvers see the pool as ``_encode`` gives it and identify its
     members by position in the id-sorted pool.
     """
@@ -212,14 +225,62 @@ def minimal_cover(
     if uncovered:
         raise NoCover(uncovered)
     exact = config.mode is CoverMode.EXACT
-    if exact and len(pool) > MAX_EXACT_CANDIDATES:
-        raise ExactTooLarge(len(pool), MAX_EXACT_CANDIDATES)
-
     full, masks, weights, needs = _encode(targets, pool, known, config.metric)
+    parts = [(full, range(len(pool)))]
+    if exact and len(pool) > MAX_EXACT_CANDIDATES:
+        parts = _components(masks)
+        largest = max(len(members) for _, members in parts)
+        if largest > MAX_EXACT_CANDIDATES:
+            raise ExactTooLarge(largest, MAX_EXACT_CANDIDATES)
+
     picked = _greedy_cover(full, masks, weights, needs)
     if exact:
-        picked = _exact_cover(full, masks, weights, needs, picked)
+        greedy = set(picked)
+        picked = []
+        for part_full, members in parts:
+            local = _exact_cover(
+                part_full,
+                [masks[i] for i in members],
+                [weights[i] for i in members],
+                [needs[i] for i in members],
+                [j for j, i in enumerate(members) if i in greedy],
+            )
+            picked += [members[j] for j in local]
     return frozenset(pool[i].id for i in picked)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask`` as powers of two, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
+def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
+    """The pool's independent parts, by union-find over the target bit
+    positions: a member links every target it covers. Each part is its
+    target mask and its members in pool order. No member of one part
+    covers a target of another, so each part is a set-cover instance of
+    its own."""
+    parent: dict[int, int] = {}
+
+    def root(position: int) -> int:
+        while parent.setdefault(position, position) != position:
+            parent[position] = position = parent[parent[position]]  # path halving
+        return position
+
+    for mask in masks:
+        low, *rest = (root(bit.bit_length()) for bit in _bits(mask))
+        for other in rest:
+            parent[other] = low
+    members: dict[int, list[int]] = {}
+    covered: dict[int, int] = {}
+    for i, mask in enumerate(masks):
+        part = root((mask & -mask).bit_length())
+        members.setdefault(part, []).append(i)
+        covered[part] = covered.get(part, 0) | mask
+    return [(covered[part], members[part]) for part in members]
 
 
 @dataclass(slots=True)
@@ -306,7 +367,7 @@ def _exact_cover(
     the least key among those and the incumbent: the pick the unbounded
     search would make.
     """
-    target_bits = [1 << b for b in range(full.bit_length()) if full >> b & 1]
+    target_bits = list(_bits(full))
     suppliers = [[i for i, mask in enumerate(masks) if mask & bit] for bit in target_bits]
     scale = lcm(*range(1, len(target_bits) + 1))
     best_key = _selection_key(incumbent, weights, needs)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from lqplan import cli
+from lqplan.cover import MAX_EXACT_CANDIDATES
 from lqplan.model import LearnerProfile, LearnerQuantum, LQCloud, LQDictionary, serialize_dictionary
 
 
@@ -256,6 +258,18 @@ class TestPlan:
         )
         assert code == 0
         assert json.loads(out)["plan"]["stages"] == [["q00"]]
+
+    def test_refusal_wording_names_the_component(self, capsys, write_dict):
+        # perfbench's worker finds a refused plan by this pattern and
+        # retries it in greedy mode, so the wording is part of the interface
+        refused = re.compile(r"exact cover over (\d+) relevant candidates exceeds the cap of (\d+)")
+        quanta = [LearnerQuantum(f"q{i:02d}", "t", frozenset(), frozenset({"t"})) for i in range(26)]
+        quanta += [LearnerQuantum(f"r{i}", "u", frozenset(), frozenset({"u"})) for i in range(3)]
+        path = str(write_dict(LQDictionary(subject="wide", quanta=tuple(quanta))))
+        code, out, err = run_cli(capsys, "plan", "--dict", path, "--target", "t,u")
+        assert (code, out) == (4, "")
+        match = refused.search(err)
+        assert match and match.groups() == ("26", str(MAX_EXACT_CANDIDATES))
 
     def test_usage_errors(self, capsys, d1_file):
         assert run_cli(capsys, "plan", "--dict", d1_file)[0] == 4

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import KF_POOL, profiles, quanta_lists
+from lqplan import cover
 from lqplan.cover import (
     CoverConfig,
     CoverMode,
@@ -108,6 +109,34 @@ def greedy_instances(draw):
     return quanta, targets, known
 
 
+@st.composite
+def component_pools(draw, weights=st.integers(min_value=0, max_value=3), shared_needs=True):
+    """A (pool, targets, known) triple whose pool is two to four
+    components of one to three units each, with ids shuffled across them.
+
+    Component c of n units has targets ``c0`` to ``cn``. Its unit j
+    delivers ``cj`` and ``c(j+1)``, which chains the component together
+    through targets that are not always a unit's lowest, and some more
+    of the component's targets. Prerequisites come from four KFs that
+    every component shares, or from four of the component's own; the
+    known set holds some of them. Durations and costs are drawn from
+    ``weights``, small so that covers tie.
+    """
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4))
+    ids = iter(draw(st.permutations([f"u{i:02d}" for i in range(sum(sizes))])))
+    pool, known = [], set()
+    for c, size in enumerate(sizes):
+        needs = [f"p{k}" for k in range(4)] if shared_needs else [f"p{c}{k}" for k in range(4)]
+        known |= draw(st.frozensets(st.sampled_from(needs)))
+        kfs = [f"{c}{j}" for j in range(size + 1)]
+        for j in range(size):
+            objectives = {kfs[j], kfs[j + 1]} | draw(st.frozensets(st.sampled_from(kfs)))
+            prerequisites = draw(st.frozensets(st.sampled_from(needs), max_size=2))
+            pool.append(LearnerQuantum(next(ids), "u", prerequisites, objectives, draw(weights), draw(weights)))
+    targets = frozenset().union(*(q.objectives for q in pool))
+    return tuple(pool), targets, frozenset(known)
+
+
 class TestMinimalCover:
     def test_prefers_fewer_unmet_prerequisites(self, d1):
         # B and C both cover k3 at weight 1; C needs nothing new.
@@ -148,10 +177,66 @@ class TestMinimalCover:
         pool = tuple(
             LearnerQuantum(f"q{i:02d}", "t", frozenset(), {"t"}) for i in range(26)
         )
-        with pytest.raises(ExactTooLarge):
+        # the 26 suppliers of one target are one component over the cap
+        with pytest.raises(ExactTooLarge) as err:
             minimal_cover(frozenset({"t"}), pool, frozenset(), EXACT)
+        assert (err.value.count, err.value.bound) == (26, MAX_EXACT_CANDIDATES)
         # greedy mode has no cap and handles the same pool
         assert minimal_cover(frozenset({"t"}), pool, frozenset(), GREEDY) == frozenset({"q00"})
+
+    def test_refusal_names_the_largest_component(self):
+        pool = tuple(LearnerQuantum(f"q{i:02d}", "t", frozenset(), {"t"}) for i in range(26))
+        pool += tuple(LearnerQuantum(f"r{i}", "u", frozenset(), {"u"}) for i in range(3))
+        with pytest.raises(ExactTooLarge) as err:
+            minimal_cover(frozenset({"t", "u"}), pool, frozenset(), EXACT)
+        assert err.value.count == 26
+
+    def test_one_supplier_per_target_over_the_cap_resolves(self):
+        # 26 targets with one supplier each are 26 components of one unit
+        pool = tuple(LearnerQuantum(f"q{i:02d}", "t", frozenset(), {f"t{i:02d}"}) for i in range(26))
+        targets = frozenset().union(*(q.objectives for q in pool))
+        assert minimal_cover(targets, pool, frozenset(), EXACT) == frozenset(q.id for q in pool)
+
+    @given(component_pools(), st.sampled_from(list(MinimalityMetric)))
+    @settings(max_examples=150, deadline=None)
+    def test_split_weight_matches_enumeration(self, instance, metric):
+        quanta, targets, known = instance
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cover, "MAX_EXACT_CANDIDATES", 3)
+            got = minimal_cover(targets, quanta, known, CoverConfig(metric=metric))
+        chosen = [q for q in quanta if q.id in got]
+        assert targets <= frozenset().union(*(q.objectives for q in chosen))
+        assert total_weight(chosen, metric) == min_cover_weight(targets, quanta, metric)
+
+    @given(component_pools(weights=st.integers(min_value=1, max_value=3), shared_needs=False),
+           st.sampled_from(list(MinimalityMetric)))
+    @settings(max_examples=150, deadline=None)
+    def test_split_pick_matches_key_optimum(self, instance, metric):
+        # No two components share an unmet prerequisite, so unmet counts
+        # add up across them as weights do. No unit weighs 0, so no cover
+        # ties with one that drops a member, and the per-component id
+        # tie-break orders merged id tuples as the whole key does.
+        quanta, targets, known = instance
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cover, "MAX_EXACT_CANDIDATES", 3)
+            got = minimal_cover(targets, quanta, known, CoverConfig(metric=metric))
+        covers = iter_covers(targets, relevant_pool(targets, quanta))
+        best = min(covers, key=lambda c: selection_key(c, known, metric))
+        assert got == frozenset(q.id for q in best)
+
+    @pytest.mark.parametrize("metric", list(MinimalityMetric))
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=MAX_EXACT_CANDIDATES),
+           st.randoms())
+    @settings(max_examples=15, deadline=None)
+    def test_within_cap_pick_is_the_whole_pool_search(self, metric, seed, size, rng):
+        dictionary, profile = generate(GenSpec(seed=seed, lq_count=300, kf_count=200, max_objectives=4))
+        quanta = rng.sample(dictionary.quanta, size)
+        targets = frozenset().union(*(q.objectives for q in quanta)) - profile.known
+        pool = relevant_pool(targets, quanta)
+        full, masks, weights, needs = cover._encode(targets, pool, profile.known, metric)
+        whole = cover._exact_cover(full, masks, weights, needs, cover._greedy_cover(full, masks, weights, needs))
+        got = minimal_cover(targets, quanta, profile.known, CoverConfig(metric=metric))
+        assert got == frozenset(pool[i].id for i in whole)
 
     def test_irrelevant_candidates_do_not_count_toward_cap(self):
         pool = tuple(

@@ -1,4 +1,4 @@
-"""Golden CLI corpus: the exact bytes of about 350 in-process CLI runs.
+"""Golden CLI corpus: the exact bytes of about 370 in-process CLI runs.
 
 Each case maps a path-free name to the SHA-256 of its exit code, stdout
 and stderr, so any change in what the CLI prints or returns shows up as a
@@ -6,7 +6,8 @@ named mismatch. Cases cover ``plan`` on the shared fixtures and on
 generated dictionaries of 40 to 2,000 units: exact and greedy, every
 metric, with and without ``--strict-residual`` in JSON, plus text, DOT,
 ``graph``, ``counsel`` and ``validate``. Exits 1 (infeasible), 3 (cycle)
-and 4 (exact pool over its cap) are entries like any other.
+and 4 (an exact-mode pool component over its cap) are entries like any
+other.
 
 After an intended output change, rewrite the corpus with
 
@@ -72,6 +73,11 @@ def corpus_inputs() -> list[tuple[str, LQDictionary, list[tuple[str, str, str, s
     overlap = LQDictionary(subject="overlap", quanta=d1.quanta + (LearnerQuantum("D", "Refresher", {"k2"}, {"k2", "k5"}),))
     duplicate = LQDictionary(subject="duplicate", quanta=d1.quanta + d1.quanta[:1])
     trap, trap_profile = make_cycle_trap()
+    # 26 units delivering one target: a single pool component over the
+    # exact-mode cap
+    wide = LQDictionary(
+        subject="wide", quanta=tuple(LearnerQuantum(f"w{i:02d}", "Wide", (), {"t"}) for i in range(26))
+    )
     inputs = [
         ("d1", d1, [("k1-k3", "k1", "k3", None), ("k1-k3k4", "k1", "k3,k4", None), ("none-k3", "", "k3", None)]),
         ("d1-clouds", d1_clouds, [("ab-k1-k3", "k1", "k3", "ab")]),
@@ -80,6 +86,7 @@ def corpus_inputs() -> list[tuple[str, LQDictionary, list[tuple[str, str, str, s
         ("overlap", overlap, [("k1-k5", "k1", "k5", None)]),
         ("duplicate", duplicate, [("k1-k3", "k1", "k3", None)]),
         ("trap", trap, [("none-t1t2", _csv(trap_profile.known), _csv(trap_profile.target), None)]),
+        ("wide", wide, [("none-t", "", "t", None)]),
     ]
     for flavor, seed, units, kfs in GENERATED:
         dictionary, profile = generate(GenSpec(seed=seed, lq_count=units, kf_count=kfs, flavor=flavor))

@@ -12,7 +12,9 @@ and without ``--strict-residual``.
 
 The gates time the greedy path in memory (resolve, digraph, staging and
 simulation, no file load) on the broad target and require a sound plan
-within five times the median measured when the gate was set. One more
+within five times the median measured when the gate was set; the exact
+path, which solves each round's independent components, is gated the
+same way at 20k and 50k units under ``scale``. One more
 gate times the dearest way to fail: a broad greedy query on a 50k
 adversarial dictionary that also asks for a KF only the trap pair
 supplies, which resolves in full before its stage-0 ``Infeasible``.
@@ -57,6 +59,10 @@ CORPUS = (
 # map is built inside the timing): 11 runs per size on a 2-vCPU VM with
 # CPython 3.11.7.
 GATE_MEDIAN_S = {20_000: 0.13, 50_000: 0.53, 100_000: 1.38}
+# The same for the exact path, which splits each round's pool into its
+# independent components (11 runs per size, same VM; the greedy medians
+# measured alongside were 0.17 and 0.48 s).
+EXACT_GATE_MEDIAN_S = {20_000: 0.26, 50_000: 0.69}
 GATE_HEADROOM = 5
 # Median seconds of the stage-0-unreachable greedy resolve on 50k
 # adversarial units, measured the same way (22 runs).
@@ -118,22 +124,37 @@ def test_corpus_matches_golden(flavor, units, tmp_path):
     )
 
 
-@pytest.mark.parametrize(
-    "units",
-    [pytest.param(units, marks=[pytest.mark.scale] if units > 20_000 else []) for units in GATE_MEDIAN_S],
-)
-def test_greedy_path_gate(units):
+def broad_path_seconds(units: int, mode: CoverMode) -> float:
+    """Seconds of the in-memory path on the broad target of a freshly
+    generated feasible dictionary; the staged plan must simulate."""
     dictionary, generated = instance(Flavor.FEASIBLE, units)
     profile = broad_profile(dictionary, generated)
     start = time.perf_counter()
-    trace = backward_resolve(profile, dictionary, config=CoverConfig(mode=CoverMode.GREEDY))
+    trace = backward_resolve(profile, dictionary, config=CoverConfig(mode=mode))
     graph = build_digraph(trace.solution, dictionary, profile)
     plan = topo_schedule(graph, dictionary)
     verdict = simulate_plan(plan, dictionary, profile)
     elapsed = time.perf_counter() - start
     assert verdict.ok
+    return elapsed
+
+
+@pytest.mark.parametrize(
+    "units",
+    [pytest.param(units, marks=[pytest.mark.scale] if units > 20_000 else []) for units in GATE_MEDIAN_S],
+)
+def test_greedy_path_gate(units):
+    elapsed = broad_path_seconds(units, CoverMode.GREEDY)
     bound = GATE_HEADROOM * GATE_MEDIAN_S[units]
     assert elapsed < bound, f"greedy path on {units} units took {elapsed:.3f}s, gate {bound:.3f}s"
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("units", list(EXACT_GATE_MEDIAN_S))
+def test_exact_path_gate(units):
+    elapsed = broad_path_seconds(units, CoverMode.EXACT)
+    bound = GATE_HEADROOM * EXACT_GATE_MEDIAN_S[units]
+    assert elapsed < bound, f"exact path on {units} units took {elapsed:.3f}s, gate {bound:.3f}s"
 
 
 @pytest.mark.scale
