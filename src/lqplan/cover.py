@@ -24,10 +24,8 @@ from .model import (
     MinimalityMetric,
     Scope,
     closure_over,
-    total_weight,  # re-exported: callers import it from here too
 )
 
-GLOBAL_SEARCH_BOUND = 20
 MAX_EXACT_CANDIDATES = 25
 
 
@@ -44,8 +42,10 @@ class CoverConfig:
     already-selected quanta count as held when computing later residuals;
     a quantum never counts toward its own prerequisites. Switching reuse
     off follows the strictest reading of backward chaining, at the price
-    of redundant picks and dead ends (8% of queries at 40 units, 28% at
-    200 and 2% at 2k dead-ended where reuse found a plan). Exact mode
+    of redundant picks and dead ends where reuse finds a plan: strict mode
+    does not count a selected unit's objectives as held, and later rounds
+    draw only from unselected units, so a prerequisite whose suppliers are
+    all selected already can never be met. Exact mode
     solves a larger pool by its independent components (see
     ``minimal_cover``) and refuses it only when one component holds more
     than ``MAX_EXACT_CANDIDATES`` relevant candidates; greedy mode has no
@@ -127,20 +127,12 @@ class ExactTooLarge(LQPlanError):
         )
 
 
-class TooLarge(LQPlanError):
-    """Exhaustive whole-plan search was asked for too many candidates."""
-
-    def __init__(self, count: int, bound: int):
-        self.count = count
-        self.bound = bound
-        super().__init__(f"exhaustive plan search over {count} candidates exceeds the cap of {bound}")
-
-
 class Infeasible(LQPlanError):
-    """The dictionary cannot take this learner to these targets.
+    """Backward resolution ended without a plan.
 
-    ``stage`` 0 means no sequence of the quanta in scope reaches the targets;
-    stage g >= 1 means round g of backward resolution found no cover for its residual.
+    ``stage`` 0 means no plan exists: no sequence of the quanta in scope
+    reaches the targets. Stage g >= 1 means round g found no cover for its
+    residual among the quanta not yet selected; a plan may still exist.
     """
 
     def __init__(self, stage: int, uncovered: KFSet):
@@ -464,52 +456,6 @@ def backward_resolve(
         if unreachable := _unreachable(candidates, goal, profile.known):
             raise Infeasible(0, unreachable)
     return SolutionTrace(tuple(iterations))
-
-
-def global_optimal_plan(
-    profile: LearnerProfile,
-    dictionary: LQDictionary,
-    scope: str | None = None,
-    metric: MinimalityMetric = MinimalityMetric.COUNT,
-) -> frozenset[str]:
-    """The genuinely lightest subset of quanta that reaches the targets.
-
-    Exhaustive subset enumeration, so only usable on small scopes (at
-    most ``GLOBAL_SEARCH_BOUND`` quanta). Exists as a comparison point:
-    round-by-round resolution minimises each round in isolation, which
-    this function does not, and the gap between the two is observable.
-
-    Subsets are ranked by ``_selection_key``; only a would-be best is
-    checked for reachability. The B&B cannot replace the enumeration: it
-    builds covers of the targets only from units that cover an open
-    target, and the optimum may hold units that only supply
-    prerequisites, or zero-weight free riders.
-    """
-    candidates = sorted(dictionary.scoped(scope), key=lambda q: q.id)
-    if len(candidates) > GLOBAL_SEARCH_BOUND:
-        raise TooLarge(len(candidates), GLOBAL_SEARCH_BOUND)
-    wanted = profile.target - profile.known
-    if not wanted:
-        return frozenset()
-
-    full, masks, weights, needs = _encode(wanted, candidates, profile.known, metric)
-    best_key: tuple[int, int, tuple[int, ...]] | None = None
-    n = len(candidates)
-    for subset in range(1 << n):
-        chosen = [i for i in range(n) if subset >> i & 1]
-        covered = 0
-        for i in chosen:
-            covered |= masks[i]
-        if covered != full:
-            continue
-        key = _selection_key(chosen, weights, needs)
-        if best_key is not None and key >= best_key:
-            continue
-        if profile.target <= closure_over(profile.known, [candidates[i] for i in chosen]):
-            best_key = key
-    if best_key is None:
-        raise Infeasible(0, _unreachable(dictionary.scoped(scope), wanted, profile.known))
-    return frozenset(candidates[i].id for i in best_key[2])
 
 
 def prerequisite_gap(

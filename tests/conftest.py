@@ -62,6 +62,22 @@ def make_cycle_trap() -> tuple[LQDictionary, LearnerProfile]:
     return dictionary, profile
 
 
+def make_dead_end() -> LQDictionary:
+    """A plan exists ({B, C}) that round-by-round resolution misses.
+
+    Round 1 prefers A (no unmet prerequisite beats one), and round 2 then
+    finds no supplier of A's prerequisite ``x``.
+    """
+    return LQDictionary(
+        subject="dead-end",
+        quanta=(
+            LearnerQuantum("A", "Dead end", {"x"}, {"t"}),
+            LearnerQuantum("B", "Detour", {"y"}, {"t"}),
+            LearnerQuantum("C", "Supply", frozenset(), {"y"}),
+        ),
+    )
+
+
 @pytest.fixture
 def d1() -> LQDictionary:
     return make_d1()

@@ -91,7 +91,13 @@ def best_reachable_subset(
     quanta: Iterable[LearnerQuantum],
     metric: MinimalityMetric,
 ) -> Optional[frozenset[str]]:
-    """Lightest subset whose closure from the known set reaches the target."""
+    """The plan-level reference: the best subset of the quanta whose closure
+    from the known set reaches the target, or None if no subset does.
+
+    Every subset is tried. The best ranks first by total weight, then by
+    fewer unmet prerequisites outside ``known``, then by the smaller sorted
+    ids (``selection_key``).
+    """
     quanta = sorted(quanta, key=lambda q: q.id)
     best_key = None
     best: Optional[frozenset[str]] = None

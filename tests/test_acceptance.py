@@ -21,9 +21,7 @@ from lqplan.cover import (
     CoverMode,
     Infeasible,
     backward_resolve,
-    global_optimal_plan,
     minimal_cover,
-    total_weight,
 )
 from lqplan.generate import Flavor, GenSpec, generate
 from lqplan.model import (
@@ -33,9 +31,10 @@ from lqplan.model import (
     MinimalityMetric,
     closure_over,
     serialize_dictionary,
+    total_weight,
 )
 from lqplan.sequence import CycleDetected, build_digraph, simulate_plan, topo_schedule
-from oracles import min_cover_weight
+from oracles import best_reachable_subset, min_cover_weight
 
 FEASIBLE_COUNT = 500
 INFEASIBLE_COUNT = 100
@@ -128,7 +127,7 @@ def test_criterion_3_global_vs_iterative_gap(feasible_instances, capsys, d1, d1_
     fixture_ok = (
         set(backward_resolve(profile, d1).solution) == {"C"}
         and set(backward_resolve(profile, d1_prime).solution) == {"A", "B"}
-        and global_optimal_plan(profile, d1) == frozenset({"C"})
+        and best_reachable_subset(profile, d1.quanta, MinimalityMetric.COUNT) == frozenset({"C"})
     )
     violations = []
     for seed, dictionary, prof in feasible_instances:
@@ -136,7 +135,7 @@ def test_criterion_3_global_vs_iterative_gap(feasible_instances, capsys, d1, d1_
         iterative = total_weight(
             [dictionary.quantum(i) for i in trace.solution], MinimalityMetric.COUNT
         )
-        best = global_optimal_plan(prof, dictionary, metric=MinimalityMetric.COUNT)
+        best = best_reachable_subset(prof, dictionary.quanta, MinimalityMetric.COUNT)
         optimal = total_weight([dictionary.quantum(i) for i in best], MinimalityMetric.COUNT)
         if iterative < optimal:
             violations.append(seed)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KF_POOL, profiles, quanta_lists
+from conftest import KF_POOL, make_dead_end, profiles, quanta_lists
 from lqplan import cover
 from lqplan.cover import (
     CoverConfig,
@@ -16,12 +16,9 @@ from lqplan.cover import (
     ExactTooLarge,
     Infeasible,
     NoCover,
-    TooLarge,
     backward_resolve,
-    global_optimal_plan,
     minimal_cover,
     prerequisite_gap,
-    total_weight,
 )
 from lqplan.generate import Flavor, GenSpec, generate
 from lqplan.model import (
@@ -32,8 +29,9 @@ from lqplan.model import (
     Scope,
     UnknownLQ,
     closure_over,
+    total_weight,
 )
-from lqplan.sequence import CycleDetected, build_digraph, topo_schedule
+from lqplan.sequence import CycleDetected, build_digraph, simulate_plan, topo_schedule
 from oracles import (
     best_reachable_subset,
     closure_by_rescan,
@@ -514,35 +512,62 @@ class TestBackwardResolve:
 
 
 class TestGlobalOptimalPlan:
+    """Round-by-round resolution against the plan-level optimum of the
+    enumeration oracle."""
+
     def test_frozen_examples(self, d1, d1_prime):
         profile = LearnerProfile(known={"k1"}, target={"k3"})
-        assert global_optimal_plan(profile, d1) == frozenset({"C"})
-        assert global_optimal_plan(profile, d1_prime) == frozenset({"A", "B"})
+        metric = MinimalityMetric.COUNT
+        assert best_reachable_subset(profile, d1.quanta, metric) == frozenset({"C"})
+        assert best_reachable_subset(profile, d1_prime.quanta, metric) == frozenset({"A", "B"})
+
+    def test_dead_end_has_a_plan(self):
+        # round-by-round resolution exits 1 here (Infeasible at stage 2),
+        # yet {B, C} is a plan that can be followed
+        dictionary = make_dead_end()
+        profile = LearnerProfile(target={"t"})
+        best = best_reachable_subset(profile, dictionary.quanta, MinimalityMetric.COUNT)
+        assert best == frozenset({"B", "C"})
+        plan = topo_schedule(build_digraph(sorted(best), dictionary, profile), dictionary)
+        assert simulate_plan(plan, dictionary, profile).ok
 
     def test_target_already_known(self, d1):
         profile = LearnerProfile(known={"k1"}, target={"k1"})
-        assert global_optimal_plan(profile, d1) == frozenset()
+        assert best_reachable_subset(profile, d1.quanta, MinimalityMetric.COUNT) == frozenset()
+        assert backward_resolve(profile, d1).solution == ()
 
     def test_infeasible(self, d1):
-        with pytest.raises(Infeasible):
-            global_optimal_plan(LearnerProfile(known=frozenset(), target={"k3"}), d1)
-
-    def test_too_large(self):
-        quanta = tuple(
-            LearnerQuantum(f"q{i:02d}", "t", frozenset(), {"t"}) for i in range(21)
-        )
-        d = LQDictionary(subject="big", quanta=quanta)
-        with pytest.raises(TooLarge):
-            global_optimal_plan(LearnerProfile(target={"t"}), d)
+        profile = LearnerProfile(known=frozenset(), target={"k3"})
+        assert best_reachable_subset(profile, d1.quanta, MinimalityMetric.COUNT) is None
+        with pytest.raises(Infeasible) as info:
+            backward_resolve(profile, d1)
+        assert info.value.stage == 0
 
     @staticmethod
     def check_against_oracle(profile, dictionary, scope, metric):
+        # Stage 0 is exactly "no plan exists"; a later stage is a dead end of
+        # the rounds while a plan exists. A resolved solution that reaches the
+        # target is never lighter than the optimum; one that does not is a
+        # cycle that sequencing refuses.
         expected = best_reachable_subset(profile, dictionary.scoped(scope), metric)
-        if expected is None:
-            with pytest.raises(Infeasible):
-                global_optimal_plan(profile, dictionary, scope, metric)
-        else:
-            assert global_optimal_plan(profile, dictionary, scope, metric) == expected
+        for mode in CoverMode:
+            for reuse in (True, False):
+                config = CoverConfig(metric=metric, mode=mode, reuse_acquired_objectives=reuse)
+                try:
+                    trace = backward_resolve(profile, dictionary, scope, config)
+                except Infeasible as exc:
+                    assert (exc.stage == 0) == (expected is None)
+                    continue
+                assert expected is not None
+                selected = quanta_by_id(dictionary, trace.solution)
+                if profile.target <= closure_over(profile.known, selected):
+                    optimal = total_weight(quanta_by_id(dictionary, expected), metric)
+                    assert total_weight(selected, metric) >= optimal
+                else:
+                    with pytest.raises(CycleDetected):
+                        topo_schedule(
+                            build_digraph(trace.solution, dictionary, profile), dictionary
+                        )
 
     @given(quanta_lists(max_quanta=5), profiles(), st.sampled_from(list(MinimalityMetric)))
     @settings(max_examples=60, deadline=None)
@@ -554,8 +579,7 @@ class TestGlobalOptimalPlan:
     @pytest.mark.parametrize("flavor", list(Flavor))
     def test_matches_enumeration_oracle_on_generated(self, flavor, metric):
         # 6-12 units over few KFs, so several units supply the same KF and
-        # zero costs tie weights; the generated known set is non-empty, so
-        # the unmet-prerequisite count breaks some of those ties.
+        # zero costs tie weights; the infeasible flavor checks the stage-0 verdict.
         for seed in range(14):
             size = 6 + seed % 7
             spec = GenSpec(seed=seed, lq_count=size, kf_count=2 + size // 2, flavor=flavor)
@@ -580,7 +604,7 @@ class TestGlobalOptimalPlan:
         reached = closure_over(profile.known, selected)
         if profile.target <= reached:
             iterative = total_weight(selected, metric)
-            best = global_optimal_plan(profile, dictionary, metric=metric)
+            best = best_reachable_subset(profile, dictionary.quanta, metric)
             optimal = total_weight(quanta_by_id(dictionary, best), metric)
             assert iterative >= optimal
         else:

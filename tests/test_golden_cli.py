@@ -1,4 +1,4 @@
-"""Golden CLI corpus: the exact bytes of about 370 in-process CLI runs.
+"""Golden CLI corpus: the exact bytes of about 390 in-process CLI runs.
 
 Each case maps a path-free name to the SHA-256 of its exit code, stdout
 and stderr, so any change in what the CLI prints or returns shows up as a
@@ -13,7 +13,8 @@ After an intended output change, rewrite the corpus with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-and record every changed entry in CHANGES.md.
+which prints the added, removed and changed names before it writes, and
+record them in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_cycle_trap, make_d1, make_d1_prime, make_xy_pair
+from conftest import make_cycle_trap, make_d1, make_d1_prime, make_dead_end, make_xy_pair
 from lqplan import cli
 from lqplan.cover import CoverConfig, CoverMode, backward_resolve
 from lqplan.generate import Flavor, GenSpec, generate
@@ -87,6 +88,7 @@ def corpus_inputs() -> list[tuple[str, LQDictionary, list[tuple[str, str, str, s
         ("duplicate", duplicate, [("k1-k3", "k1", "k3", None)]),
         ("trap", trap, [("none-t1t2", _csv(trap_profile.known), _csv(trap_profile.target), None)]),
         ("wide", wide, [("none-t", "", "t", None)]),
+        ("dead-end", make_dead_end(), [("none-t", "", "t", None)]),
     ]
     for flavor, seed, units, kfs in GENERATED:
         dictionary, profile = generate(GenSpec(seed=seed, lq_count=units, kf_count=kfs, flavor=flavor))
@@ -155,6 +157,26 @@ def digest(result: tuple[int, str, str]) -> str:
     return hashlib.sha256(json.dumps(list(result)).encode("utf-8")).hexdigest()
 
 
+def corpus_diff(golden: dict[str, str], actual: dict[str, str]) -> tuple[list[str], list[str], list[str]]:
+    """The names only ``golden`` has, the names only ``actual`` has, and the
+    shared names whose hashes differ, each list sorted."""
+    missing = sorted(set(golden) - set(actual))
+    extra = sorted(set(actual) - set(golden))
+    changed = sorted(name for name in set(golden) & set(actual) if golden[name] != actual[name])
+    return missing, extra, changed
+
+
+def write_golden(path: Path, hashes: dict[str, str]) -> None:
+    """Print the names added, removed and changed against ``path``, then
+    write ``hashes`` there, sorted by name."""
+    removed, added, changed = corpus_diff(json.loads(path.read_text()), hashes)
+    for label, names in (("added", added), ("removed", removed), ("changed", changed)):
+        for name in names:
+            print(f"{label}: {name}", file=sys.stderr)
+    path.write_text(json.dumps(dict(sorted(hashes.items())), indent=1) + "\n")
+    print(f"wrote {len(hashes)} cases to {path}", file=sys.stderr)
+
+
 def run_corpus(dict_dir: Path) -> dict[str, tuple[int, str, str]]:
     return {name: run_case(argv) for name, argv in corpus_cases(dict_dir).items()}
 
@@ -167,9 +189,7 @@ def corpus_results(tmp_path_factory) -> dict[str, tuple[int, str, str]]:
 def test_corpus_matches_golden(corpus_results):
     golden = json.loads(GOLDEN.read_text())
     actual = {name: digest(result) for name, result in corpus_results.items()}
-    missing = sorted(set(golden) - set(actual))
-    extra = sorted(set(actual) - set(golden))
-    changed = sorted(name for name in set(golden) & set(actual) if golden[name] != actual[name])
+    missing, extra, changed = corpus_diff(golden, actual)
     assert not (missing or extra or changed), (
         f"missing: {missing}\nextra: {extra}\nchanged: {changed}"
     )
@@ -217,5 +237,4 @@ def test_graph_on_cycle_exits_3(corpus_results):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         results = run_corpus(Path(tmp))
-    GOLDEN.write_text(json.dumps({name: digest(r) for name, r in sorted(results.items())}, indent=1) + "\n")
-    print(f"wrote {len(results)} cases to {GOLDEN}", file=sys.stderr)
+    write_golden(GOLDEN, {name: digest(result) for name, result in results.items()})

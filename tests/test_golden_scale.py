@@ -25,13 +25,13 @@ about two and a half minutes) with
 
     PYTHONPATH=src python tests/test_golden_scale.py
 
-and record every changed entry in CHANGES.md.
+which prints the added, removed and changed names before it writes, and
+record them in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -42,7 +42,7 @@ from lqplan.cover import CoverConfig, CoverMode, Infeasible, backward_resolve
 from lqplan.generate import Flavor, GenSpec, generate
 from lqplan.model import LearnerProfile, LQDictionary, closure_over, serialize_dictionary
 from lqplan.sequence import build_digraph, simulate_plan, topo_schedule
-from test_golden_cli import _csv, digest, run_case
+from test_golden_cli import _csv, corpus_diff, digest, run_case, write_golden
 
 GOLDEN = Path(__file__).with_name("golden_scale.json")
 SEED = 2026
@@ -116,9 +116,7 @@ def test_corpus_matches_golden(flavor, units, tmp_path):
     prefix = f"plan {flavor.value}-{units}/"
     golden = {name: h for name, h in json.loads(GOLDEN.read_text()).items() if name.startswith(prefix)}
     actual = run_corpus(flavor, units, tmp_path)
-    missing = sorted(set(golden) - set(actual))
-    extra = sorted(set(actual) - set(golden))
-    changed = sorted(name for name in set(golden) & set(actual) if golden[name] != actual[name])
+    missing, extra, changed = corpus_diff(golden, actual)
     assert not (missing or extra or changed), (
         f"missing: {missing}\nextra: {extra}\nchanged: {changed}"
     )
@@ -179,5 +177,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for flavor, units in CORPUS:
             hashes.update(run_corpus(flavor, units, Path(tmp)))
-    GOLDEN.write_text(json.dumps(dict(sorted(hashes.items())), indent=1) + "\n")
-    print(f"wrote {len(hashes)} cases to {GOLDEN}", file=sys.stderr)
+    write_golden(GOLDEN, hashes)
