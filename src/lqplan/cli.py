@@ -109,13 +109,13 @@ def _plan_doc(
         "trace": {
             "iterations": [
                 {
-                    "index": rec.index,
+                    "index": index,
                     "selected": sorted(rec.selected),
                     "k": rec.k,
                     "prereq_union": sorted(rec.prereq_union),
                     "residual": sorted(rec.residual),
                 }
-                for rec in trace.iterations
+                for index, rec in enumerate(trace.iterations, start=1)
             ],
             "solution": list(trace.solution),
             "cardinality": trace.cardinality,
@@ -154,9 +154,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         sys.stdout.write(digraph_to_dot(graph, dictionary))
     else:
         print(f"plan for {dictionary.subject}: quanta={plan.lq_count} stages={len(plan.stages)}")
-        for rec in trace.iterations:
+        for index, rec in enumerate(trace.iterations, start=1):
             print(
-                f"  iteration {rec.index}: selected={','.join(sorted(rec.selected))}"
+                f"  iteration {index}: selected={','.join(sorted(rec.selected))}"
                 f" prereq_union={','.join(sorted(rec.prereq_union)) or '-'}"
                 f" residual={','.join(sorted(rec.residual)) or '-'}"
             )
@@ -281,7 +281,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a bug, not a verdict on the input: keep it off exits 1-4
         print(f"lqplan: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

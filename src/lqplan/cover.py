@@ -63,11 +63,10 @@ class IterationRecord:
 
     ``prereq_union`` is everything the newly selected quanta require;
     ``residual`` is the part of that still unaccounted for, which the next
-    round must cover. ``index`` starts at 1; ``k`` is the size of the
-    selection.
+    round must cover. ``k`` is the size of the selection; a record's
+    round number is its position in the trace, from 1.
     """
 
-    index: int
     selected: frozenset[str]
     prereq_union: KFSet
     residual: KFSet
@@ -426,10 +425,8 @@ def backward_resolve(
     acquired: frozenset[str] = frozenset()
     selected_ids: set[str] = set()
     iterations: list[IterationRecord] = []
-    index = 0
     try:
         while wanted:
-            index += 1
             # the round's pool: every quantum delivering a wanted KF, in scope
             # order, less those whose id is already selected
             offered = {i for kf in wanted for i in suppliers.get(kf, ())}
@@ -438,14 +435,14 @@ def backward_resolve(
             try:
                 picked = minimal_cover(wanted, pool, held, config)
             except NoCover as exc:
-                raise Infeasible(index, exc.uncovered) from exc
+                raise Infeasible(len(iterations) + 1, exc.uncovered) from exc
             prereq_union = frozenset().union(*(by_id[lq_id].prerequisites for lq_id in picked))
             # a unit never counts toward its own prerequisites
             acquired = acquired.union(*(by_id[i].objectives - by_id[i].prerequisites for i in picked))
             residual = prereq_union - profile.known
             if config.reuse_acquired_objectives:
                 residual -= acquired
-            iterations.append(IterationRecord(index, frozenset(picked), prereq_union, residual))
+            iterations.append(IterationRecord(frozenset(picked), prereq_union, residual))
             selected_ids |= picked
             wanted = residual
     except LQPlanError:

@@ -34,6 +34,7 @@ _SEED_MAX = 2**64 - 1
 # Generation time grows linearly with the unit count; the cap is twice
 # the largest instance the scale tests plan for (50k units).
 _COUNT_MAX = 100_000
+_MAX_PREREQS = 3  # the most KFs a generated regular unit requires
 
 
 class SpecInvalid(LQPlanError):
@@ -51,7 +52,6 @@ class GenSpec:
     seed: int
     lq_count: int
     kf_count: int
-    max_prereqs: int = 3
     max_objectives: int = 2
     flavor: Flavor = Flavor.FEASIBLE
 
@@ -67,8 +67,6 @@ def _check(spec: GenSpec) -> None:
         raise SpecInvalid(f"lq_count must be at most {_COUNT_MAX}, got {spec.lq_count}")
     if spec.kf_count > _COUNT_MAX:
         raise SpecInvalid(f"kf_count must be at most {_COUNT_MAX}, got {spec.kf_count}")
-    if spec.max_prereqs < 0:
-        raise SpecInvalid(f"max_prereqs must be non-negative, got {spec.max_prereqs}")
     if spec.max_objectives < 1:
         raise SpecInvalid(f"max_objectives must be at least 1, got {spec.max_objectives}")
     if not isinstance(spec.flavor, Flavor):
@@ -90,13 +88,7 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
 
     trap_kfs: list[str] = []
     trap_quanta = 0
-    if (
-        spec.flavor is Flavor.ADVERSARIAL
-        and len(kfs) >= 5
-        and spec.lq_count >= 3
-        and spec.max_prereqs >= 1
-        and spec.max_objectives >= 1
-    ):
+    if spec.flavor is Flavor.ADVERSARIAL and len(kfs) >= 5 and spec.lq_count >= 3:
         # Reserve two KFs for a mutual-dependency pair appended at the
         # end; smaller requests degrade to plain feasible generation.
         trap_kfs = [kfs.pop(), kfs.pop()]
@@ -126,7 +118,7 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
             refresh_pool = produced if produced else available
             objectives = rng.sample(refresh_pool, min(want, len(refresh_pool)))
             prereq_pool = known if produced else [kf for kf in known if kf not in objectives]
-        depth = rng.randint(0, min(spec.max_prereqs, len(prereq_pool)))
+        depth = rng.randint(0, min(_MAX_PREREQS, len(prereq_pool)))
         prerequisites = rng.sample(prereq_pool, depth)
         quanta.append(
             LearnerQuantum(

@@ -502,11 +502,12 @@ def parse_dictionary(source: Source) -> LQDictionary:
 
     Shape, types, tokens and unknown keys are enforced here. A valid file
     is accepted in bulk, one check per field over all units and clouds
-    (``_bulk_accept``). Only when one of those checks fails are the units
-    and clouds walked one by one, to raise on the first fault with its
-    JSON path. Cross-entity rules (duplicate ids, dangling cloud members,
-    ...) are left to ``load_dictionary`` and ``validate_dictionary``, so a
-    validation front end can list them all.
+    (``_bulk_accept``), and only that accept builds a dictionary. When one
+    of its checks fails, the units and clouds are walked one by one only
+    to raise on the first fault with its JSON path; a walk that finds no
+    fault is a bug. Cross-entity rules (duplicate ids, dangling cloud
+    members, ...) are left to ``load_dictionary`` and
+    ``validate_dictionary``, so a validation front end can list them all.
 
     The cyclic garbage collector is paused while the file is decoded and
     checked, if it was running, and restored even when the parse raises:
@@ -528,21 +529,15 @@ def parse_dictionary(source: Source) -> LQDictionary:
         accepted = _bulk_accept(raw_quanta, raw_clouds)
         if accepted is not None:
             return LQDictionary(subject, *accepted)
-        quanta = []
         for i, item in enumerate(raw_quanta):
             where = f"$.quanta[{i}]"
             entry = _require_object(item, where, _QUANTUM_KEYS)
-            quanta.append(
-                LearnerQuantum(
-                    id=_require_token(_require_str(entry, where, "id"), f"{where}.id"),
-                    title=_require_str(entry, where, "title"),
-                    prerequisites=_token_list(entry, where, "prerequisites"),
-                    objectives=_token_list(entry, where, "objectives"),
-                    duration_minutes=_optional_count(entry, where, "duration_minutes"),
-                    cost=_optional_count(entry, where, "cost"),
-                )
-            )
-        clouds = []
+            _require_token(_require_str(entry, where, "id"), f"{where}.id")
+            _require_str(entry, where, "title")
+            _token_list(entry, where, "prerequisites")
+            _token_list(entry, where, "objectives")
+            _optional_count(entry, where, "duration_minutes")
+            _optional_count(entry, where, "cost")
         if not isinstance(raw_clouds, dict):
             raise SchemaError("$.clouds", f"expected an object, got {type(raw_clouds).__name__}")
         for name, members in raw_clouds.items():
@@ -550,8 +545,8 @@ def parse_dictionary(source: Source) -> LQDictionary:
             _require_token(name, where)
             if not isinstance(members, list):
                 raise SchemaError(where, f"expected a list, got {type(members).__name__}")
-            clouds.append(LQCloud(name, _tokens(members, where)))
-        return LQDictionary(subject=subject, quanta=tuple(quanta), clouds=tuple(clouds))
+            _tokens(members, where)
+        raise AssertionError("the bulk accept refused a file the fault walk finds no fault in")
     finally:
         if collecting:
             gc.enable()

@@ -236,6 +236,20 @@ class TestMinimalCover:
         got = minimal_cover(targets, quanta, profile.known, CoverConfig(metric=metric))
         assert got == frozenset(pool[i].id for i in whole)
 
+    @pytest.mark.parametrize("metric", list(MinimalityMetric))
+    def test_within_cap_the_whole_key_spans_components(self, metric):
+        # {A1, A2} on t1 and {B1, B2} on t2 are two components within the
+        # cap. Searched apart, each takes its smaller id at one unmet KF
+        # ({A1, B1}: x and y); the whole pool search sees A2 share B1's x.
+        pool = (
+            LearnerQuantum("A1", "a1", {"y"}, {"t1"}),
+            LearnerQuantum("A2", "a2", {"x"}, {"t1"}),
+            LearnerQuantum("B1", "b1", {"x"}, {"t2"}),
+            LearnerQuantum("B2", "b2", {"z"}, {"t2"}),
+        )
+        got = minimal_cover(frozenset({"t1", "t2"}), pool, frozenset(), CoverConfig(metric=metric))
+        assert got == frozenset({"A2", "B1"})
+
     def test_irrelevant_candidates_do_not_count_toward_cap(self):
         pool = tuple(
             LearnerQuantum(f"f{i:02d}", "t", frozenset(), {"other"}) for i in range(30)
@@ -306,7 +320,6 @@ class TestBackwardResolve:
         assert trace.solution == ("C",)
         assert trace.cardinality == 1
         [rec] = trace.iterations
-        assert rec.index == 1
         assert rec.selected == frozenset({"C"})
         assert rec.k == 1
         assert rec.prereq_union == frozenset({"k1"})
@@ -520,6 +533,15 @@ class TestGlobalOptimalPlan:
         metric = MinimalityMetric.COUNT
         assert best_reachable_subset(profile, d1.quanta, metric) == frozenset({"C"})
         assert best_reachable_subset(profile, d1_prime.quanta, metric) == frozenset({"A", "B"})
+
+    def test_round_by_round_can_be_strictly_heavier(self):
+        # acceptance criterion 3's instance 79 (8 units, 9 KFs): round 1
+        # covers k2 and k4 with q3 and, at an equal key, the smaller id q1,
+        # so round 2 adds q2 for q3's k1; q7 alone delivers both k4 and k1
+        dictionary, profile = generate(GenSpec(seed=79, lq_count=8, kf_count=9))
+        assert set(backward_resolve(profile, dictionary).solution) == {"q1", "q2", "q3"}
+        best = best_reachable_subset(profile, dictionary.quanta, MinimalityMetric.COUNT)
+        assert best == frozenset({"q3", "q7"})
 
     def test_dead_end_has_a_plan(self):
         # round-by-round resolution exits 1 here (Infeasible at stage 2),

@@ -23,7 +23,6 @@ from oracles import closure_by_rescan
         dict(seed=2**64, lq_count=3, kf_count=5),
         dict(seed=1, lq_count=0, kf_count=5),
         dict(seed=1, lq_count=3, kf_count=1),
-        dict(seed=1, lq_count=3, kf_count=5, max_prereqs=-1),
         dict(seed=1, lq_count=3, kf_count=5, max_objectives=0),
         # over the size caps; refused before anything is allocated
         dict(seed=1, lq_count=100_001, kf_count=5),

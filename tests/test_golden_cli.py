@@ -1,4 +1,4 @@
-"""Golden CLI corpus: the exact bytes of about 390 in-process CLI runs.
+"""Golden CLI corpus: the exact bytes of 405 in-process CLI runs.
 
 Each case maps a path-free name to the SHA-256 of its exit code, stdout
 and stderr, so any change in what the CLI prints or returns shows up as a
@@ -46,7 +46,7 @@ from lqplan.model import (
     serialize_dictionary,
     validate_dictionary,
 )
-from lqplan.sequence import build_digraph, simulate_plan, topo_schedule
+from lqplan.sequence import CycleDetected, build_digraph, simulate_plan, topo_schedule
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -57,6 +57,7 @@ GENERATED = (
     (Flavor.FEASIBLE, 3, 200, 170),
     (Flavor.FEASIBLE, 2026, 2000, 1600),
     (Flavor.ADVERSARIAL, 13, 60, 50),
+    (Flavor.ADVERSARIAL, 32, 200, 50),
     (Flavor.INFEASIBLE, 5, 60, 50),
 )
 
@@ -238,3 +239,26 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         results = run_corpus(Path(tmp))
     write_golden(GOLDEN, {name: digest(result) for name, result in results.items()})
+
+
+@pytest.mark.parametrize(
+    "mode, metric, spurious",
+    [(CoverMode.GREEDY, MinimalityMetric.DURATION, True),
+     (CoverMode.GREEDY, MinimalityMetric.COST, False),
+     (CoverMode.EXACT, MinimalityMetric.COST, False)],
+    ids=["greedy-duration-spurious", "greedy-cost-real", "exact-cost-real"],
+)
+def test_adversarial_200_cycles(corpus_results, mode, metric, spurious):
+    # Every cycle exit of adversarial-200/gen names the trap pair. Under
+    # greedy/duration the selection still reaches the targets by closure,
+    # in order, so the cycle is an artefact of ``build_digraph`` drawing an
+    # edge from every supplier of a needed KF: a plan exists, yet the CLI
+    # exits 3. The cost selections are real cycles: their closure misses.
+    code, out, err = corpus_results[f"plan adversarial-200/gen {mode.value} {metric.value} reuse json"]
+    assert (code, out, err) == (3, "", "lqplan: prerequisite cycle: q199 -> q200 -> q199\n")
+    dictionary, profile = generate(GenSpec(seed=32, lq_count=200, kf_count=50, flavor=Flavor.ADVERSARIAL))
+    trace = backward_resolve(profile, dictionary, config=CoverConfig(metric, mode))
+    reached = closure_over(profile.known, [dictionary.quantum(i) for i in trace.solution])
+    assert (profile.target <= reached) is spurious
+    with pytest.raises(CycleDetected):
+        topo_schedule(build_digraph(trace.solution, dictionary, profile), dictionary)

@@ -250,6 +250,14 @@ def test_a_valid_file_never_enters_the_row_walk():
     assert d == load_two_pass(D1_JSON)
 
 
+def test_only_the_bulk_accept_builds_a_dictionary():
+    # if the bulk accept ever refused a file the row walk finds no fault in,
+    # the parse fails loudly instead of building the dictionary another way
+    with mock.patch.object(model, "_bulk_accept", return_value=None):
+        with pytest.raises(AssertionError, match="finds no fault"):
+            parse_dictionary(D1_JSON)
+
+
 @pytest.mark.parametrize("parse", [parse_dictionary, load_dictionary])
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize(
