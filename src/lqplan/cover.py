@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from heapq import heapify, heappop, heapreplace
+from itertools import repeat
 from math import lcm
+from operator import attrgetter, or_
 from typing import Iterable, Iterator
 
 from .model import (
@@ -159,20 +162,17 @@ def _selection_key(
 def _encode(
     targets: KFSet, pool: list[LearnerQuantum], known: KFSet, metric: MinimalityMetric
 ) -> tuple[int, list[int], list[int], list[int]]:
-    """The pool as integers: each KF in the targets or in a member's unmet
-    prerequisites gets one bit (in sorted order), and each member becomes
-    its target mask, its weight and its unmet-prerequisite mask."""
-    kfs = sorted(targets.union(*(q.prerequisites for q in pool)) - known)
-    bit_of = {kf: 1 << i for i, kf in enumerate(kfs)}
-
-    def mask_of(group: KFSet) -> int:
-        return sum(bit_of[kf] for kf in group)
-
-    full = mask_of(targets)
-    masks = [mask_of(q.objectives & targets) for q in pool]
-    weights = [metric.weight(q) for q in pool]
-    needs = [mask_of(q.prerequisites - known) for q in pool]
-    return full, masks, weights, needs
+    """The pool as integers, in two bit spaces. The targets get bits 0, 1,
+    ... in sorted order, which fixes the exact search's branching order;
+    each member becomes its target mask in that space. The unmet
+    prerequisite KFs get bits of their own, in no set order: need masks
+    are only ever OR-ed and counted. Each member also gets its weight."""
+    bit = {kf: 1 << i for i, kf in enumerate(sorted(targets))}
+    unmet = frozenset().union(*(q.prerequisites for q in pool)) - known
+    need_bit = {kf: 1 << i for i, kf in enumerate(unmet)}
+    masks = [sum(map(bit.get, q.objectives, repeat(0))) for q in pool]
+    needs = [sum(map(need_bit.get, q.prerequisites, repeat(0))) for q in pool]
+    return (1 << len(bit)) - 1, masks, list(map(metric.weight, pool)), needs
 
 
 def minimal_cover(
@@ -202,8 +202,10 @@ def minimal_cover(
     per component. A pool within the cap is one component, searched
     under the whole key.
 
-    Both solvers see the pool as ``_encode`` gives it and identify its
-    members by position in the id-sorted pool.
+    Both solvers see the pool as ``_encode`` gives it (targets in one bit
+    space, unmet prerequisites in another) and identify its members by
+    position in the id-sorted pool. A target outside the OR of the target
+    masks raises ``NoCover`` before any cap is checked.
     """
     targets = frozenset(targets)
     known = frozenset(known)
@@ -211,12 +213,12 @@ def minimal_cover(
         raise ValueError(f"targets overlap the known set: {sorted(targets & known)}")
     if not targets:
         return frozenset()
-    pool = sorted((q for q in candidates if q.objectives & targets), key=lambda q: q.id)
-    uncovered = targets.difference(*(q.objectives for q in pool))
-    if uncovered:
-        raise NoCover(uncovered)
-    exact = config.mode is CoverMode.EXACT
+    pool = [q for q in candidates if not targets.isdisjoint(q.objectives)]
+    pool.sort(key=attrgetter("id"))
     full, masks, weights, needs = _encode(targets, pool, known, config.metric)
+    if reduce(or_, masks, 0) != full:
+        raise NoCover(targets.difference(*(q.objectives for q in pool)))
+    exact = config.mode is CoverMode.EXACT
     parts = [(full, range(len(pool)))]
     if exact and len(pool) > MAX_EXACT_CANDIDATES:
         parts = _components(masks)
@@ -274,59 +276,43 @@ def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
     return [(covered[part], members[part]) for part in members]
 
 
-@dataclass(slots=True)
-class _Offer:
-    """A pool member's heap entry: its last known gain, its weight (a zero
-    weight counts as 1, so the ratio stays defined; the exact solver still
-    sums it as 0), its unmet-prerequisite count and its pool index.
-
-    ``a < b`` means ``a`` is the better pick: more targets per unit of
-    weight, compared by cross-multiplication so it stays exact integer
-    arithmetic at any weight, then fewer unmet prerequisites, then the
-    lower index.
-    """
-
-    gain: int
-    weight: int
-    unmet: int
-    index: int
-
-    def __lt__(self, other: _Offer) -> bool:
-        ours, theirs = self.gain * other.weight, other.gain * self.weight
-        if ours != theirs:
-            return ours > theirs
-        if self.unmet != other.unmet:
-            return self.unmet < other.unmet
-        return self.index < other.index
-
-
 def _greedy_cover(full: int, masks: list[int], weights: list[int], needs: list[int]) -> list[int]:
     """Chvátal's rule: take the most targets per unit of weight, then the
     fewest unmet prerequisites, then the lowest pool index (smallest id).
 
-    Lazy evaluation after Minoux: the heap holds each member's gain from
+    A heap entry is ``(-((gain << shift) // weight), unmet, index)``, with
+    a zero weight counted as 1 (the exact solver still sums it as 0) and
+    ``2 ** shift`` above the square of the largest weight W. Two unequal
+    ratios differ by at least 1 / W**2, so the floored key keeps every
+    strict order between ratios and equal ratios get equal keys: plain
+    tuple order is the rule, exact at any weight. At one weight, distinct
+    gains get distinct keys.
+
+    Lazy evaluation after Minoux: the heap holds each member's key from
     when it was last scored. Gains only shrink as targets get covered, so
     a stale entry never ranks below its true place. The top entry is
-    re-scored; if its gain is unchanged it is the true best and is taken,
-    otherwise it goes back with its new gain, or out once it has none.
+    re-scored; if its key is unchanged it is the true best and is taken,
+    otherwise it goes back with its new key, or out once it has no gain.
     """
+    weights = [weight or 1 for weight in weights]
+    shift = 2 * max(weights).bit_length()
     heap = [
-        _Offer(mask.bit_count(), weight or 1, need.bit_count(), i)
+        (-((mask.bit_count() << shift) // weight), need.bit_count(), i)
         for i, (mask, weight, need) in enumerate(zip(masks, weights, needs))
     ]
     heapify(heap)
     remaining = full
     chosen: list[int] = []
     while remaining:
-        top = heap[0]
-        gain = (masks[top.index] & remaining).bit_count()
-        if gain == top.gain:
+        key, unmet, i = heap[0]
+        gain = (masks[i] & remaining).bit_count()
+        fresh = -((gain << shift) // weights[i])
+        if fresh == key:
             heappop(heap)
-            chosen.append(top.index)
-            remaining &= ~masks[top.index]
+            chosen.append(i)
+            remaining &= ~masks[i]
         elif gain:
-            top.gain = gain
-            heapreplace(heap, top)
+            heapreplace(heap, (fresh, unmet, i))
         else:
             heappop(heap)
     return chosen

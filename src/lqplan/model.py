@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
-from typing import IO, Iterable, Union
+from operator import attrgetter, itemgetter
+from typing import IO, Callable, Iterable, Union
 
 KFSet = frozenset[str]
 
@@ -67,22 +67,27 @@ class UnknownLQ(LQPlanError):
 
 
 class MinimalityMetric(Enum):
-    """What a cover should minimise."""
+    """What a cover should minimise; ``weight`` is the getter of a
+    quantum's weight under it."""
 
     COUNT = "count"
     DURATION = "duration"
     COST = "cost"
 
-    def weight(self, quantum: "LearnerQuantum") -> int:
-        if self is MinimalityMetric.COUNT:
-            return 1
-        if self is MinimalityMetric.DURATION:
-            return quantum.duration_minutes
-        return quantum.cost
+    @property
+    def weight(self) -> Callable[["LearnerQuantum"], int]:
+        return _WEIGHT_GETTERS[self]
+
+
+_WEIGHT_GETTERS = {
+    MinimalityMetric.COUNT: lambda quantum: 1,
+    MinimalityMetric.DURATION: attrgetter("duration_minutes"),
+    MinimalityMetric.COST: attrgetter("cost"),
+}
 
 
 def total_weight(quanta: Iterable["LearnerQuantum"], metric: MinimalityMetric) -> int:
-    return sum(metric.weight(q) for q in quanta)
+    return sum(map(metric.weight, quanta))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from itertools import combinations
 
@@ -149,6 +150,28 @@ class TestMinimalCover:
             minimal_cover(frozenset({"k9"}), d1.quanta, frozenset(), EXACT)
         assert err.value.uncovered == frozenset({"k9"})
 
+    @pytest.mark.parametrize("config", [EXACT, GREEDY])
+    def test_no_cover_names_only_the_unsupplied_targets(self, config):
+        # distractors deliver no target, so they leave the pool
+        pool = (
+            LearnerQuantum("A", "a", {"p"}, {"t1"}),
+            LearnerQuantum("B", "b", frozenset(), {"t1", "x"}),
+            LearnerQuantum("D1", "d1", frozenset(), {"x"}),
+            LearnerQuantum("D2", "d2", {"t3"}, {"y"}),
+        )
+        with pytest.raises(NoCover) as err:
+            minimal_cover(frozenset({"t1", "t2", "t3"}), pool, frozenset(), config)
+        assert err.value.uncovered == frozenset({"t2", "t3"})
+        assert str(err.value) == "no candidate covers: t2, t3"
+
+    @pytest.mark.parametrize("config", [EXACT, GREEDY])
+    def test_no_cover_comes_before_the_cap(self, config):
+        # one component over the cap, and a target nothing delivers
+        pool = tuple(LearnerQuantum(f"q{i:02d}", "t", frozenset(), {"t"}) for i in range(26))
+        with pytest.raises(NoCover) as err:
+            minimal_cover(frozenset({"t", "u"}), pool, frozenset(), config)
+        assert err.value.uncovered == frozenset({"u"})
+
     def test_cost_metric_prefers_two_cheap_units(self):
         pool = (
             LearnerQuantum("B", "b", frozenset(), {"k3"}, cost=1),
@@ -297,6 +320,47 @@ class TestMinimalCover:
         config = CoverConfig(metric=metric, mode=CoverMode.GREEDY)
         got = minimal_cover(targets, quanta, profile.known, config)
         assert got == greedy_cover(targets, quanta, profile.known, metric)
+
+    def test_greedy_ratio_is_exact_at_any_weight(self):
+        # As floats 1/W == 2/(2W+1), so a float key would tie all three
+        # units, tie their unmet counts too, and let the id pick A alone.
+        # Exactly, B's 1/W beats A's 2/(2W+1), and then C beats A on t2.
+        w = 10**17
+        pool = (
+            LearnerQuantum("a", "a", frozenset(), {"t1", "t2"}, cost=2 * w + 1),
+            LearnerQuantum("b", "b", frozenset(), {"t1"}, cost=w),
+            LearnerQuantum("c", "c", frozenset(), {"t2"}, cost=w),
+        )
+        targets = frozenset({"t1", "t2"})
+        config = CoverConfig(metric=MinimalityMetric.COST, mode=CoverMode.GREEDY)
+        assert 1 / w == 2 / (2 * w + 1)
+        assert minimal_cover(targets, pool, frozenset(), config) == frozenset({"b", "c"})
+        assert greedy_cover(targets, pool, frozenset(), MinimalityMetric.COST) == frozenset({"b", "c"})
+
+    @pytest.mark.parametrize("metric", list(MinimalityMetric))
+    @pytest.mark.parametrize("base", [10**17, 10**30, 2**64])
+    def test_greedy_matches_oracle_at_huge_weights(self, metric, base):
+        # weights at and next to small multiples of one base: ratios of
+        # one to three targets per weight tie or differ far below a
+        # float's resolution, and zero weights mix in
+        rng = random.Random(base % 1000 + len(metric.value))
+        weights = (base, base + 1, 2 * base + 1, 3 * base - 1, 0)
+        config = CoverConfig(metric=metric, mode=CoverMode.GREEDY)
+        for _ in range(200):
+            targets = frozenset(rng.sample(KF_POOL, rng.randint(1, 5)))
+            quanta = tuple(
+                LearnerQuantum(
+                    f"q{i}", "q",
+                    frozenset(rng.sample(KF_POOL, rng.randint(0, 2))) - targets,
+                    frozenset(rng.sample(sorted(targets), rng.randint(1, min(3, len(targets))))),
+                    rng.choice(weights), rng.choice(weights),
+                )
+                for i in rng.sample(range(12), rng.randint(1, 8))
+            )
+            targets = frozenset().union(*(q.objectives for q in quanta))
+            known = frozenset(rng.sample(sorted(frozenset(KF_POOL) - targets), rng.randint(0, 2)))
+            expected = greedy_cover(targets, quanta, known, metric)
+            assert minimal_cover(targets, quanta, known, config) == expected
 
     @given(quanta_lists(), st.data())
     @settings(max_examples=80, deadline=None)
