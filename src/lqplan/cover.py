@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from heapq import heapify, heappop, heapreplace
-from itertools import repeat
 from math import lcm
 from operator import attrgetter, or_
 from typing import Iterable, Iterator
@@ -160,19 +159,14 @@ def _selection_key(
 
 
 def _encode(
-    targets: KFSet, pool: list[LearnerQuantum], known: KFSet, metric: MinimalityMetric
-) -> tuple[int, list[int], list[int], list[int]]:
-    """The pool as integers, in two bit spaces. The targets get bits 0, 1,
-    ... in sorted order, which fixes the exact search's branching order;
-    each member becomes its target mask in that space. The unmet
-    prerequisite KFs get bits of their own, in no set order: need masks
-    are only ever OR-ed and counted. Each member also gets its weight."""
+    targets: KFSet, pool: list[LearnerQuantum], metric: MinimalityMetric
+) -> tuple[int, list[int], list[int]]:
+    """What both solvers read of the pool, as integers: the targets get
+    bits 0, 1, ... in sorted order, which fixes the exact search's
+    branching order; each member becomes its target mask and its weight."""
     bit = {kf: 1 << i for i, kf in enumerate(sorted(targets))}
-    unmet = frozenset().union(*(q.prerequisites for q in pool)) - known
-    need_bit = {kf: 1 << i for i, kf in enumerate(unmet)}
-    masks = [sum(map(bit.get, q.objectives, repeat(0))) for q in pool]
-    needs = [sum(map(need_bit.get, q.prerequisites, repeat(0))) for q in pool]
-    return (1 << len(bit)) - 1, masks, list(map(metric.weight, pool)), needs
+    masks = [sum(map(bit.__getitem__, targets.intersection(q.objectives))) for q in pool]
+    return (1 << len(bit)) - 1, masks, list(map(metric.weight, pool))
 
 
 def minimal_cover(
@@ -202,20 +196,22 @@ def minimal_cover(
     per component. A pool within the cap is one component, searched
     under the whole key.
 
-    Both solvers see the pool as ``_encode`` gives it (targets in one bit
-    space, unmet prerequisites in another) and identify its members by
-    position in the id-sorted pool. A target outside the OR of the target
-    masks raises ``NoCover`` before any cap is checked.
+    Both solvers read target masks and weights from ``_encode`` and
+    identify members by position in the id-sorted pool; greedy also
+    reads each member's unmet-prerequisite count, and only exact mode
+    builds need masks, in a bit space of their own, to OR them. A target
+    outside the OR of the target masks raises ``NoCover`` before any cap
+    is checked. ``known`` may be any iterable; a set is read in place.
     """
     targets = frozenset(targets)
-    known = frozenset(known)
+    known = known if isinstance(known, (set, frozenset)) else frozenset(known)
     if targets & known:
         raise ValueError(f"targets overlap the known set: {sorted(targets & known)}")
     if not targets:
         return frozenset()
     pool = [q for q in candidates if not targets.isdisjoint(q.objectives)]
     pool.sort(key=attrgetter("id"))
-    full, masks, weights, needs = _encode(targets, pool, known, config.metric)
+    full, masks, weights = _encode(targets, pool, config.metric)
     if reduce(or_, masks, 0) != full:
         raise NoCover(targets.difference(*(q.objectives for q in pool)))
     exact = config.mode is CoverMode.EXACT
@@ -226,8 +222,12 @@ def minimal_cover(
         if largest > MAX_EXACT_CANDIDATES:
             raise ExactTooLarge(largest, MAX_EXACT_CANDIDATES)
 
-    picked = _greedy_cover(full, masks, weights, needs)
+    unmet = [q.prerequisites - known for q in pool]
+    picked = _greedy_cover(full, masks, weights, list(map(len, unmet)))
     if exact:
+        # the unmet KFs get bits in no set order: need masks are only OR-ed and counted
+        need_bit = {kf: 1 << i for i, kf in enumerate(frozenset().union(*unmet))}
+        needs = [sum(map(need_bit.__getitem__, kfs)) for kfs in unmet]
         greedy = set(picked)
         picked = []
         for part_full, members in parts:
@@ -276,9 +276,10 @@ def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
     return [(covered[part], members[part]) for part in members]
 
 
-def _greedy_cover(full: int, masks: list[int], weights: list[int], needs: list[int]) -> list[int]:
-    """Chvátal's rule: take the most targets per unit of weight, then the
-    fewest unmet prerequisites, then the lowest pool index (smallest id).
+def _greedy_cover(full: int, masks: list[int], weights: list[int], unmet: list[int]) -> list[int]:
+    """Chvátal's rule over target masks, weights and unmet-prerequisite
+    counts: take the most targets per unit of weight, then the fewest
+    unmet prerequisites, then the lowest pool index (smallest id).
 
     A heap entry is ``(-((gain << shift) // weight), unmet, index)``, with
     a zero weight counted as 1 (the exact solver still sums it as 0) and
@@ -297,14 +298,14 @@ def _greedy_cover(full: int, masks: list[int], weights: list[int], needs: list[i
     weights = [weight or 1 for weight in weights]
     shift = 2 * max(weights).bit_length()
     heap = [
-        (-((mask.bit_count() << shift) // weight), need.bit_count(), i)
-        for i, (mask, weight, need) in enumerate(zip(masks, weights, needs))
+        (-((mask.bit_count() << shift) // weight), count, i)
+        for i, (mask, weight, count) in enumerate(zip(masks, weights, unmet))
     ]
     heapify(heap)
     remaining = full
     chosen: list[int] = []
     while remaining:
-        key, unmet, i = heap[0]
+        key, count, i = heap[0]
         gain = (masks[i] & remaining).bit_count()
         fresh = -((gain << shift) // weights[i])
         if fresh == key:
@@ -312,7 +313,7 @@ def _greedy_cover(full: int, masks: list[int], weights: list[int], needs: list[i
             chosen.append(i)
             remaining &= ~masks[i]
         elif gain:
-            heapreplace(heap, (fresh, unmet, i))
+            heapreplace(heap, (fresh, count, i))
         else:
             heappop(heap)
     return chosen
@@ -408,7 +409,7 @@ def backward_resolve(
 
     by_id = dictionary.by_id
     suppliers = candidates.suppliers
-    acquired: frozenset[str] = frozenset()
+    held = set(profile.known)  # grows by each round's gains in reuse mode
     selected_ids: set[str] = set()
     iterations: list[IterationRecord] = []
     try:
@@ -417,17 +418,15 @@ def backward_resolve(
             # order, less those whose id is already selected
             offered = {i for kf in wanted for i in suppliers.get(kf, ())}
             pool = [candidates[i] for i in sorted(offered) if candidates[i].id not in selected_ids]
-            held = profile.known | acquired if config.reuse_acquired_objectives else profile.known
             try:
                 picked = minimal_cover(wanted, pool, held, config)
             except NoCover as exc:
                 raise Infeasible(len(iterations) + 1, exc.uncovered) from exc
             prereq_union = frozenset().union(*(by_id[lq_id].prerequisites for lq_id in picked))
-            # a unit never counts toward its own prerequisites
-            acquired = acquired.union(*(by_id[i].objectives - by_id[i].prerequisites for i in picked))
-            residual = prereq_union - profile.known
             if config.reuse_acquired_objectives:
-                residual -= acquired
+                # a unit never counts toward its own prerequisites
+                held.update(*(by_id[i].objectives - by_id[i].prerequisites for i in picked))
+            residual = prereq_union - held
             iterations.append(IterationRecord(frozenset(picked), prereq_union, residual))
             selected_ids |= picked
             wanted = residual

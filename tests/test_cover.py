@@ -190,6 +190,18 @@ class TestMinimalCover:
         for config in (EXACT, GREEDY):
             assert minimal_cover(frozenset({"t"}), pool, frozenset(), config) == frozenset({"N1"})
 
+    @pytest.mark.parametrize("config", [EXACT, GREEDY])
+    @pytest.mark.parametrize("as_known", [frozenset, set, list, lambda kfs: (kf for kf in sorted(kfs))])
+    def test_known_decides_a_ratio_tie(self, config, as_known):
+        # A and B cover t at the same ratio and need one KF each, so the tie
+        # goes to A by id until the learner holds B's prerequisite q
+        pool = (
+            LearnerQuantum("A", "a", {"p"}, {"t"}),
+            LearnerQuantum("B", "b", {"q"}, {"t"}),
+        )
+        assert minimal_cover(frozenset({"t"}), pool, as_known({"r"}), config) == frozenset({"A"})
+        assert minimal_cover(frozenset({"t"}), pool, as_known({"q", "r"}), config) == frozenset({"B"})
+
     def test_overlapping_known_rejected(self, d1):
         with pytest.raises(ValueError):
             minimal_cover(frozenset({"k3"}), d1.quanta, frozenset({"k3"}), EXACT)
@@ -254,8 +266,13 @@ class TestMinimalCover:
         quanta = rng.sample(dictionary.quanta, size)
         targets = frozenset().union(*(q.objectives for q in quanta)) - profile.known
         pool = relevant_pool(targets, quanta)
-        full, masks, weights, needs = cover._encode(targets, pool, profile.known, metric)
-        whole = cover._exact_cover(full, masks, weights, needs, cover._greedy_cover(full, masks, weights, needs))
+        full, masks, weights = cover._encode(targets, pool, metric)
+        # need masks built here in sorted order; minimal_cover's bit order is its own
+        unmet = [q.prerequisites - profile.known for q in pool]
+        need_bit = {kf: 1 << i for i, kf in enumerate(sorted(frozenset().union(*unmet)))}
+        needs = [sum(need_bit[kf] for kf in kfs) for kfs in unmet]
+        incumbent = cover._greedy_cover(full, masks, weights, [len(kfs) for kfs in unmet])
+        whole = cover._exact_cover(full, masks, weights, needs, incumbent)
         got = minimal_cover(targets, quanta, profile.known, CoverConfig(metric=metric))
         assert got == frozenset(pool[i].id for i in whole)
 
@@ -497,6 +514,32 @@ class TestBackwardResolve:
         )
         assert set(strict.solution) == {"A", "B", "C"}
         assert [rec.residual for rec in strict.iterations] == [frozenset({"p"}), frozenset()]
+
+    @pytest.mark.parametrize("mode", list(CoverMode))
+    def test_acquired_kfs_break_later_ties(self, mode):
+        # G delivers k besides the target. In reuse mode k is held from
+        # round 1 on: round 2 takes M2 over M1 (one unmet KF against two),
+        # and round 3 takes C2 over C1, as k still counts after round 2
+        # added m. In strict mode M1 and M2 tie at two unmet KFs and M1
+        # wins by id.
+        dictionary = LQDictionary(
+            subject="held",
+            quanta=(
+                LearnerQuantum("G", "g", {"m"}, {"g", "k"}),
+                LearnerQuantum("M1", "m1", {"n1", "n2"}, {"m"}),
+                LearnerQuantum("M2", "m2", {"k", "c"}, {"m"}),
+                LearnerQuantum("C1", "c1", {"z"}, {"c"}),
+                LearnerQuantum("C2", "c2", {"k"}, {"c"}),
+                LearnerQuantum("N", "n", frozenset(), {"n1", "n2"}),
+            ),
+        )
+        profile = LearnerProfile(known=frozenset(), target={"g"})
+        reuse = backward_resolve(profile, dictionary, config=CoverConfig(mode=mode))
+        assert [set(rec.selected) for rec in reuse.iterations] == [{"G"}, {"M2"}, {"C2"}]
+        strict = backward_resolve(
+            profile, dictionary, config=CoverConfig(mode=mode, reuse_acquired_objectives=False)
+        )
+        assert [set(rec.selected) for rec in strict.iterations] == [{"G"}, {"M1"}, {"N"}]
 
     def test_strict_residual_can_dead_end(self):
         # only A supplies p, but A is already selected in round one
