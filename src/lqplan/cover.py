@@ -144,20 +144,6 @@ class Infeasible(LQPlanError):
         )
 
 
-def _selection_key(
-    chosen: Iterable[int], weights: list[int], needs: list[int]
-) -> tuple[int, int, tuple[int, ...]]:
-    """The preference order for covers of an encoded pool: lighter total
-    weight, then fewer unmet prerequisite KFs, then the smaller sorted
-    index tuple (the smaller sorted ids, as pools are sorted by id). Every
-    exact selection point in this module uses this chain, so identical
-    inputs always yield identical picks."""
-    need = 0
-    for i in chosen:
-        need |= needs[i]
-    return sum(weights[i] for i in chosen), need.bit_count(), tuple(sorted(chosen))
-
-
 def _encode(
     targets: KFSet, pool: list[LearnerQuantum], metric: MinimalityMetric
 ) -> tuple[int, list[int], list[int]]:
@@ -178,13 +164,14 @@ def minimal_cover(
     """Pick a set of candidates whose objectives cover ``targets``.
 
     Only candidates whose objectives intersect the targets take part.
-    Exact mode returns the cover minimising the selection key; greedy mode
-    repeatedly takes the best coverage-per-weight candidate and may
-    overshoot the minimum. Exact minimality is over covers with no
-    free-riding member (dropping a zero-weight unit that contributes no
-    coverage is never worse under the key's first two components). The
-    exact search skips only covers that cannot win the key, so its bound
-    changes how long it takes, never what it picks.
+    Exact mode returns the cover minimising the selection key (see
+    ``_exact_cover``); greedy mode repeatedly takes the best
+    coverage-per-weight candidate and may overshoot the minimum. Exact
+    minimality is over covers with no free-riding member (dropping a
+    zero-weight unit that contributes no coverage is never worse under
+    the key's first two components). The exact search skips only covers
+    that cannot win the key, so its bound changes how long it takes,
+    never what it picks.
 
     A pool of more than ``MAX_EXACT_CANDIDATES`` members is split, in
     exact mode, into its independent components: targets that share a
@@ -340,15 +327,19 @@ def _exact_cover(
     key's weight, or equals it while the branch's unmet prerequisites,
     which only grow down a branch, already outnumber the best key's.
 
-    So the search visits every cover whose ``_selection_key`` can still
-    beat the best found so far, not every irredundant cover, and returns
-    the least key among those and the incumbent: the pick the unbounded
-    search would make.
+    A cover's selection key is its total weight, then the number of its
+    unmet prerequisite KFs (the popcount of its OR-ed need masks), then
+    its sorted index tuple (its sorted ids, as pools are sorted by id);
+    the least key wins, so identical inputs always yield identical picks.
+    The search visits every cover whose key can still beat the best found
+    so far, not every irredundant cover, and returns the least key among
+    those and the incumbent: the pick the unbounded search would make.
     """
     target_bits = list(_bits(full))
     suppliers = [[i for i, mask in enumerate(masks) if mask & bit] for bit in target_bits]
     scale = lcm(*range(1, len(target_bits) + 1))
-    best_key = _selection_key(incumbent, weights, needs)
+    unmet = reduce(or_, (needs[i] for i in incumbent), 0).bit_count()
+    best_key = (sum(weights[i] for i in incumbent), unmet, tuple(sorted(incumbent)))
 
     def search(remaining: int, allowed: int, chosen: list[int], weight: int, need: int) -> None:
         nonlocal best_key
@@ -366,7 +357,7 @@ def _exact_cover(
         if excess > 0 or excess == 0 and need.bit_count() > best_key[1]:
             return
         if branch_options is None:  # a cover that can still win
-            best_key = min(best_key, _selection_key(chosen, weights, needs))
+            best_key = min(best_key, (weight, need.bit_count(), tuple(sorted(chosen))))
             return
         for i in branch_options:
             allowed &= ~(1 << i)  # bans i here and in every later sibling

@@ -31,8 +31,8 @@ _TOPICS = (
 )
 
 _SEED_MAX = 2**64 - 1
-# Generation time grows linearly with the unit count; the cap is twice
-# the largest instance the scale tests plan for (50k units).
+# Generation time grows linearly with the unit count; the cap equals the
+# largest instance the scale tests plan for (100k units).
 _COUNT_MAX = 100_000
 _MAX_PREREQS = 3  # the most KFs a generated regular unit requires
 

@@ -52,15 +52,15 @@ class SimulationVerdict:
 
     On failure, ``stage``/``lq_id``/``missing`` name the first violation;
     a missing-target failure after the last stage leaves stage and lq_id
-    unset. ``known_after`` is the knowledge state when the verdict was
-    reached.
+    unset. The knowledge state at the verdict is the known set plus the
+    objectives of every stage before ``stage`` (of every stage, when
+    ``stage`` is unset).
     """
 
     ok: bool
     stage: int | None = None
     lq_id: str | None = None
     missing: KFSet = frozenset()
-    known_after: KFSet = frozenset()
 
 
 class CycleDetected(LQPlanError):
@@ -182,20 +182,14 @@ def simulate_plan(
             missing = q.prerequisites - held
             if missing:
                 return SimulationVerdict(
-                    ok=False,
-                    stage=stage_index,
-                    lq_id=q.id,
-                    missing=frozenset(missing),
-                    known_after=frozenset(held),
+                    ok=False, stage=stage_index, lq_id=q.id, missing=frozenset(missing)
                 )
         for q in stage_quanta:
             held |= q.objectives
     missing_targets = profile.target - held
     if missing_targets:
-        return SimulationVerdict(
-            ok=False, missing=frozenset(missing_targets), known_after=frozenset(held)
-        )
-    return SimulationVerdict(ok=True, known_after=frozenset(held))
+        return SimulationVerdict(ok=False, missing=frozenset(missing_targets))
+    return SimulationVerdict(ok=True)
 
 
 def _dot_escape(text: str) -> str:

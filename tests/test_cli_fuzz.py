@@ -10,17 +10,15 @@ Whatever the input, a run must end in a documented exit code other than
 
 from __future__ import annotations
 
-import contextlib
 import copy
-import io
 import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cycle_trap, make_d1, make_d1_prime, make_xy_pair
-from lqplan import cli
 from lqplan.model import LQCloud, LQDictionary, serialize_dictionary
+from test_golden_cli import run_case
 
 D1 = make_d1()
 CORPUS = [
@@ -120,13 +118,6 @@ def argvs(draw, dict_path: str, out_prefix: str) -> list[str]:
     return argv
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_runs_end_in_documented_exits(tmp_path_factory, data):
@@ -135,8 +126,8 @@ def test_fuzzed_runs_end_in_documented_exits(tmp_path_factory, data):
     dict_path = workdir / "dict.json"
     dict_path.write_bytes(data.draw(mutated_files()))
     argv = data.draw(argvs(str(dict_path), str(workdir / "gen")))
-    first = run(argv)
+    first = run_case(argv)
     code, _, err = first
     assert code in {0, 1, 2, 3, 4}, (argv, err)
     assert "Traceback" not in err
-    assert run(argv) == first
+    assert run_case(argv) == first

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +26,14 @@ from lqplan.model import (
     LearnerProfile,
     LearnerQuantum,
     LQDictionary,
+    LQPlanError,
     MinimalityMetric,
     Scope,
     UnknownLQ,
     closure_over,
     total_weight,
 )
-from lqplan.sequence import CycleDetected, build_digraph, simulate_plan, topo_schedule
+from lqplan.sequence import CycleDetected, Plan, build_digraph, simulate_plan, topo_schedule
 from oracles import (
     best_reachable_subset,
     closure_by_rescan,
@@ -629,6 +630,50 @@ class TestBackwardResolve:
         assert len(trace.iterations) <= len(quanta)
         # determinism: a second run reproduces the trace exactly
         assert backward_resolve(profile, dictionary, config=config) == trace
+
+    @staticmethod
+    def assert_strict_trace_is_layered(trace, dictionary, profile):
+        """Strict rounds are layers: what a round requires outside ``known``
+        is delivered by the next round's selection, and the last round
+        requires only known KFs, so the rounds staged last to first replay
+        soundly. A strict trace thus proves its targets reachable."""
+        rounds = [quanta_by_id(dictionary, sorted(rec.selected)) for rec in trace.iterations]
+        for this, following in zip(rounds, rounds[1:] + [[]]):
+            unmet = frozenset().union(*(q.prerequisites for q in this)) - profile.known
+            assert unmet <= frozenset().union(*(q.objectives for q in following))
+        stages = tuple(tuple(sorted(rec.selected)) for rec in reversed(trace.iterations))
+        assert simulate_plan(Plan(stages, 0, 0), dictionary, profile).ok
+
+    @given(quanta_lists(), profiles(), st.sampled_from(list(CoverMode)))
+    @settings(max_examples=120, deadline=None)
+    def test_strict_trace_is_layered_on_random_instances(self, quanta, profile, mode):
+        dictionary = LQDictionary(subject="prop", quanta=quanta)
+        config = CoverConfig(mode=mode, reuse_acquired_objectives=False)
+        try:
+            trace = backward_resolve(profile, dictionary, config=config)
+        except Infeasible:
+            return
+        self.assert_strict_trace_is_layered(trace, dictionary, profile)
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_strict_trace_is_layered_on_generated_instances(self, flavor):
+        # each instance is asked for its generated target (which the
+        # infeasible flavor cannot reach) and for every fourth attainable KF
+        multi_round = 0
+        for seed, units in product(range(20), (8, 40, 200)):
+            spec = GenSpec(seed=seed, lq_count=units, kf_count=units, flavor=flavor)
+            dictionary, generated = generate(spec)
+            queries = [generated]
+            if attainable := sorted(closure_over(generated.known, dictionary.quanta) - generated.known):
+                queries.append(LearnerProfile(generated.known, frozenset(attainable[::4])))
+            for profile, mode, metric in product(queries, CoverMode, MinimalityMetric):
+                try:
+                    trace = backward_resolve(profile, dictionary, config=CoverConfig(metric, mode, False))
+                except LQPlanError:
+                    continue
+                self.assert_strict_trace_is_layered(trace, dictionary, profile)
+                multi_round += len(trace.iterations) > 1
+        assert multi_round >= 50
 
 
 class TestGlobalOptimalPlan:

@@ -104,6 +104,22 @@ def corpus_inputs() -> list[tuple[str, LQDictionary, list[tuple[str, str, str, s
     return inputs
 
 
+def plan_json_cases(prefix: str, base: list[str]) -> dict[str, list[str]]:
+    """The 12 ``plan --format json`` cases of one query: exact and greedy
+    mode, every metric, with and without ``--strict-residual``. ``base``
+    is the query's ``plan`` argv; ``prefix`` names it."""
+    cases: dict[str, list[str]] = {}
+    for mode in ("exact", "greedy"):
+        for metric in ("count", "duration", "cost"):
+            for strict in (False, True):
+                argv = base + ["--mode", mode, "--metric", metric, "--format", "json"]
+                if strict:
+                    argv.append("--strict-residual")
+                residual = "strict" if strict else "reuse"
+                cases[f"plan {prefix} {mode} {metric} {residual} json"] = argv
+    return cases
+
+
 def corpus_cases(dict_dir: Path) -> dict[str, list[str]]:
     """Case name to argv, with the corpus dictionaries written to ``dict_dir``."""
     cases: dict[str, list[str]] = {}
@@ -122,14 +138,7 @@ def corpus_cases(dict_dir: Path) -> dict[str, list[str]]:
             if cloud is not None:
                 base += ["--cloud", cloud]
             prefix = f"{dict_name}/{query_name}"
-            for mode in ("exact", "greedy"):
-                for metric in ("count", "duration", "cost"):
-                    for strict in (False, True):
-                        argv = base + ["--mode", mode, "--metric", metric, "--format", "json"]
-                        if strict:
-                            argv.append("--strict-residual")
-                        residual = "strict" if strict else "reuse"
-                        cases[f"plan {prefix} {mode} {metric} {residual} json"] = argv
+            cases.update(plan_json_cases(prefix, base))
             cases[f"plan {prefix} text"] = base
             cases[f"plan {prefix} dot"] = base + ["--format", "dot"]
             if cloud is None:

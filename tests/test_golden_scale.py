@@ -3,12 +3,13 @@
 Each golden case hashes the exit code, stdout and stderr of one in-process
 ``plan --format json`` run, the way ``test_golden_cli.py`` does. The
 dictionaries come from the generator with seed 2026, four KFs per five
-units: the feasible flavor at 1k, 2k and 5k units in tier-1 and at 10k,
-20k, 50k and 100k under the ``scale`` marker, and the adversarial and
+units: the feasible flavor at 1k and 5k units in tier-1 and at 10k, 20k,
+50k and 100k under the ``scale`` marker, and the adversarial and
 infeasible flavors at 5k. Every dictionary is asked for its generated
 target; a feasible one also for a broad target, every eighth attainable
 KF. Each query runs in exact and greedy mode, under every metric, with
-and without ``--strict-residual``.
+and without ``--strict-residual`` (``plan_json_cases``). The 2k feasible
+dictionary and its two queries are pinned once, in ``golden_cli.json``.
 
 The gates time the greedy path in memory (resolve, digraph, staging and
 simulation, no file load) on the broad target and require a sound plan
@@ -42,11 +43,11 @@ from lqplan.cover import CoverConfig, CoverMode, Infeasible, backward_resolve
 from lqplan.generate import Flavor, GenSpec, generate
 from lqplan.model import LearnerProfile, LQDictionary, closure_over, serialize_dictionary
 from lqplan.sequence import build_digraph, simulate_plan, topo_schedule
-from test_golden_cli import _csv, corpus_diff, digest, run_case, write_golden
+from test_golden_cli import _csv, corpus_diff, digest, plan_json_cases, run_case, write_golden
 
 GOLDEN = Path(__file__).with_name("golden_scale.json")
 SEED = 2026
-TIER1_UNITS = (1_000, 2_000, 5_000)
+TIER1_UNITS = (1_000, 5_000)
 SCALE_UNITS = (10_000, 20_000, 50_000, 100_000)
 CORPUS = (
     [(Flavor.FEASIBLE, units) for units in TIER1_UNITS]
@@ -91,14 +92,7 @@ def corpus_cases(flavor: Flavor, units: int, dict_dir: Path) -> dict[str, list[s
     cases: dict[str, list[str]] = {}
     for query_name, query in queries:
         base = ["plan", "--dict", str(path), "--known", _csv(query.known), "--target", _csv(query.target)]
-        for mode in ("exact", "greedy"):
-            for metric in ("count", "duration", "cost"):
-                for strict in (False, True):
-                    argv = base + ["--mode", mode, "--metric", metric, "--format", "json"]
-                    if strict:
-                        argv.append("--strict-residual")
-                    residual = "strict" if strict else "reuse"
-                    cases[f"plan {dict_name}/{query_name} {mode} {metric} {residual} json"] = argv
+        cases.update(plan_json_cases(f"{dict_name}/{query_name}", base))
     return cases
 
 

@@ -31,7 +31,7 @@ from lqplan.model import (
     validate_dictionary,
 )
 from lqplan.sequence import build_digraph, digraph_to_dot, simulate_plan, topo_schedule
-from test_cli_fuzz import run
+from test_golden_cli import run_case
 
 KFS = ("k1", "k2", "k3", "k4", "k5", "é")  # a comma would split a KF on the command line
 IDS = ("A", "B", "C", "D", "E", "F", "G", 'Q"1', "a\\b", "ü")
@@ -88,7 +88,7 @@ def check_pipeline(dictionary: LQDictionary, profile: LearnerProfile, dict_path)
             argv += ["--cloud", scope]
         if not reuse:
             argv.append("--strict-residual")
-        code, out, err = run(argv)
+        code, out, err = run_case(argv)
         assert code in ((0,) if stages is not None else (1, 3, 4)), (argv, err)
         if stages is not None:
             assert json.loads(out)["plan"]["stages"] == stages
