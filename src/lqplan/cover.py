@@ -164,29 +164,23 @@ def minimal_cover(
     """Pick a set of candidates whose objectives cover ``targets``.
 
     Only candidates whose objectives intersect the targets take part.
-    Exact mode returns the cover minimising the selection key (see
-    ``_exact_cover``); greedy mode repeatedly takes the best
-    coverage-per-weight candidate and may overshoot the minimum. Exact
-    minimality is over covers with no free-riding member (dropping a
-    zero-weight unit that contributes no coverage is never worse under
-    the key's first two components). The exact search skips only covers
-    that cannot win the key, so its bound changes how long it takes,
-    never what it picks.
+    Greedy mode runs ``_greedy_cover`` on the pool, which repeatedly takes
+    the best coverage-per-weight candidate and may overshoot the minimum.
+    Exact mode runs ``_exact_cover``, whose docstring says which cover it
+    returns, once per part of the pool.
 
-    A pool of more than ``MAX_EXACT_CANDIDATES`` members is split, in
-    exact mode, into its independent components: targets that share a
-    member fall in one component, and each is searched on its own, seeded
-    with the greedy picks that fall in it. The cap holds per component;
+    A pool of at most ``MAX_EXACT_CANDIDATES`` members is one part. A
+    larger one is split into its independent components: targets that
+    share a member fall in one component. The cap holds per component;
     the largest one over it raises ``ExactTooLarge``. Weights add up
     across components, so the union of their picks is a lightest cover;
     the unmet-prerequisite count and the id tuple of the key are taken
-    per component. A pool within the cap is one component, searched
-    under the whole key.
+    per component.
 
     Both solvers read target masks and weights from ``_encode`` and
-    identify members by position in the id-sorted pool; greedy also
-    reads each member's unmet-prerequisite count, and only exact mode
-    builds need masks, in a bit space of their own, to OR them. A target
+    identify members by position in the id-sorted pool. Greedy mode
+    also reads each member's unmet-prerequisite count; exact mode builds
+    need masks instead, in a bit space of their own, to OR them. A target
     outside the OR of the target masks raises ``NoCover`` before any cap
     is checked. ``known`` may be any iterable; a set is read in place.
     """
@@ -201,31 +195,29 @@ def minimal_cover(
     full, masks, weights = _encode(targets, pool, config.metric)
     if reduce(or_, masks, 0) != full:
         raise NoCover(targets.difference(*(q.objectives for q in pool)))
-    exact = config.mode is CoverMode.EXACT
+    if config.mode is CoverMode.GREEDY:
+        unmet = [len(q.prerequisites - known) for q in pool]
+        return frozenset(pool[i].id for i in _greedy_cover(full, masks, weights, unmet))
     parts = [(full, range(len(pool)))]
-    if exact and len(pool) > MAX_EXACT_CANDIDATES:
+    if len(pool) > MAX_EXACT_CANDIDATES:
         parts = _components(masks)
         largest = max(len(members) for _, members in parts)
         if largest > MAX_EXACT_CANDIDATES:
             raise ExactTooLarge(largest, MAX_EXACT_CANDIDATES)
 
     unmet = [q.prerequisites - known for q in pool]
-    picked = _greedy_cover(full, masks, weights, list(map(len, unmet)))
-    if exact:
-        # the unmet KFs get bits in no set order: need masks are only OR-ed and counted
-        need_bit = {kf: 1 << i for i, kf in enumerate(frozenset().union(*unmet))}
-        needs = [sum(map(need_bit.__getitem__, kfs)) for kfs in unmet]
-        greedy = set(picked)
-        picked = []
-        for part_full, members in parts:
-            local = _exact_cover(
-                part_full,
-                [masks[i] for i in members],
-                [weights[i] for i in members],
-                [needs[i] for i in members],
-                [j for j, i in enumerate(members) if i in greedy],
-            )
-            picked += [members[j] for j in local]
+    # the unmet KFs get bits in no set order: need masks are only OR-ed and counted
+    need_bit = {kf: 1 << i for i, kf in enumerate(frozenset().union(*unmet))}
+    needs = [sum(map(need_bit.__getitem__, kfs)) for kfs in unmet]
+    picked: list[int] = []
+    for part_full, members in parts:
+        local = _exact_cover(
+            part_full,
+            [masks[i] for i in members],
+            [weights[i] for i in members],
+            [needs[i] for i in members],
+        )
+        picked += [members[j] for j in local]
     return frozenset(pool[i].id for i in picked)
 
 
@@ -306,10 +298,8 @@ def _greedy_cover(full: int, masks: list[int], weights: list[int], unmet: list[i
     return chosen
 
 
-def _exact_cover(
-    full: int, masks: list[int], weights: list[int], needs: list[int], incumbent: list[int]
-) -> list[int]:
-    """Branch and bound over the candidate pool, seeded with the greedy pick.
+def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[int]) -> list[int]:
+    """Branch and bound over the candidate pool, seeded with its greedy pick.
 
     Branching is on the open target with the fewest usable candidates
     (the lowest such bit on ties); the i-th option is explored with all
@@ -329,15 +319,21 @@ def _exact_cover(
 
     A cover's selection key is its total weight, then the number of its
     unmet prerequisite KFs (the popcount of its OR-ed need masks), then
-    its sorted index tuple (its sorted ids, as pools are sorted by id);
-    the least key wins, so identical inputs always yield identical picks.
-    The search visits every cover whose key can still beat the best found
-    so far, not every irredundant cover, and returns the least key among
-    those and the incumbent: the pick the unbounded search would make.
+    its sorted index tuple (its sorted ids, as pools are sorted by id).
+    The best key starts as that of ``_greedy_cover``'s pick on this pool,
+    whose unmet counts are the need masks' popcounts. The search visits
+    every cover whose key can still beat the best found so far, not
+    every irredundant cover, and returns the least key among the covers
+    it visits and the greedy pick, so identical inputs always yield
+    identical picks. Its weight and unmet count are the least of any
+    cover's, and its key is no greater than that of any cover without a
+    free-riding member. It may hold one itself: a zero-weight unit of the
+    greedy pick that the rest of it covers stays when its id sorts first.
     """
     target_bits = list(_bits(full))
     suppliers = [[i for i, mask in enumerate(masks) if mask & bit] for bit in target_bits]
     scale = lcm(*range(1, len(target_bits) + 1))
+    incumbent = _greedy_cover(full, masks, weights, [need.bit_count() for need in needs])
     unmet = reduce(or_, (needs[i] for i in incumbent), 0).bit_count()
     best_key = (sum(weights[i] for i in incumbent), unmet, tuple(sorted(incumbent)))
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -272,8 +274,7 @@ class TestMinimalCover:
         unmet = [q.prerequisites - profile.known for q in pool]
         need_bit = {kf: 1 << i for i, kf in enumerate(sorted(frozenset().union(*unmet)))}
         needs = [sum(need_bit[kf] for kf in kfs) for kfs in unmet]
-        incumbent = cover._greedy_cover(full, masks, weights, [len(kfs) for kfs in unmet])
-        whole = cover._exact_cover(full, masks, weights, needs, incumbent)
+        whole = cover._exact_cover(full, masks, weights, needs)
         got = minimal_cover(targets, quanta, profile.known, CoverConfig(metric=metric))
         assert got == frozenset(pool[i].id for i in whole)
 
@@ -379,6 +380,34 @@ class TestMinimalCover:
             known = frozenset(rng.sample(sorted(frozenset(KF_POOL) - targets), rng.randint(0, 2)))
             expected = greedy_cover(targets, quanta, known, metric)
             assert minimal_cover(targets, quanta, known, config) == expected
+
+    @pytest.mark.parametrize("base", [10**17, 10**30, 2**64])
+    def test_greedy_pick_splits_by_component(self, base):
+        # Exact mode seeds each component's search with greedy run on that
+        # component alone. That is greedy's pick on the whole pool, in the
+        # same order, restricted to the component: no member of another
+        # covers its targets, and ratio keys stay exact under its own
+        # largest weight. Weights are those of the huge-weight test above.
+        rng = random.Random(base % 1000)
+        weights = (base, base + 1, 2 * base + 1, 3 * base - 1, 0)
+        split = 0
+        for _ in range(100):
+            n = rng.randint(MAX_EXACT_CANDIDATES + 1, 2 * MAX_EXACT_CANDIDATES)
+            bits = rng.sample(range(24), 24)  # targets dealt to up to six components
+            groups = [bits[start : start + 4] for start in range(0, 24, 4)]
+            masks = [sum(1 << bit for bit in rng.sample(rng.choice(groups), rng.randint(1, 3))) for _ in range(n)]
+            full = reduce(or_, masks)
+            ws = [rng.choice(weights) for _ in range(n)]
+            unmet = [rng.randint(0, 2) for _ in range(n)]
+            picked = cover._greedy_cover(full, masks, ws, unmet)
+            parts = cover._components(masks)
+            split += len(parts) > 1
+            for part_full, members in parts:
+                local = cover._greedy_cover(
+                    part_full, [masks[i] for i in members], [ws[i] for i in members], [unmet[i] for i in members]
+                )
+                assert [members[j] for j in local] == [i for i in picked if i in members]
+        assert split > 90
 
     @given(quanta_lists(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -541,6 +570,21 @@ class TestBackwardResolve:
             profile, dictionary, config=CoverConfig(mode=mode, reuse_acquired_objectives=False)
         )
         assert [set(rec.selected) for rec in strict.iterations] == [{"G"}, {"M1"}, {"N"}]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a free unit that the rest of greedy's pick covers "
+                                           "stays in both modes, as the exact search starts from that pick")
+    def test_no_free_rider(self):
+        # G alone covers both targets at F and G's cost, in half the time
+        dictionary = LQDictionary(subject="free-rider", quanta=(
+            LearnerQuantum("F", "Free", frozenset(), {"a"}, duration_minutes=60, cost=0),
+            LearnerQuantum("G", "Paid", frozenset(), {"a", "b"}, duration_minutes=30, cost=3),
+        ))
+        profile = LearnerProfile(frozenset(), frozenset({"a", "b"}))
+        solutions = {
+            mode: backward_resolve(profile, dictionary, config=CoverConfig(MinimalityMetric.COST, mode)).solution
+            for mode in CoverMode
+        }
+        assert solutions == {mode: ("G",) for mode in CoverMode}
 
     def test_strict_residual_can_dead_end(self):
         # only A supplies p, but A is already selected in round one

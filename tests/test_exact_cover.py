@@ -2,12 +2,14 @@
 
 ``cover._exact_cover`` cuts with a price bound and with the key's unmet-
 prerequisite count; ``oracles.exact_cover_reference`` is the search as it
-stood before, which visits every cover without a free-riding member. On
-encoded pools full of ties both must return the same picks, call for
-call. The pools are drawn at the encoded level: every target has two to
-four suppliers, weights come from {0, 1, 2, 3} (or are all 1, as under
-the count metric), and needs from four prerequisite bits, so weights and
-need counts tie and only the whole key tells covers apart.
+stood before, which visits every cover without a free-riding member.
+``_exact_cover`` seeds itself with the greedy pick; the reference is
+handed the same pick. On encoded pools full of ties both must return
+the same picks, call for call. The pools are drawn at the encoded
+level: every target has two to four suppliers, weights come from
+{0, 1, 2, 3} (or are all 1, as under the count metric), and needs from
+four prerequisite bits, so weights and need counts tie and only the
+whole key tells covers apart.
 
 The time gate runs tie-heavy pools that the old bound searched in full
 and requires them within ``GATE_HEADROOM`` times the median measured when
@@ -72,15 +74,15 @@ def tie_heavy_pools(draw, sizes=st.integers(min_value=1, max_value=MAX_EXACT_CAN
 
 
 def greedy(full: int, masks: list[int], weights: list[int], needs: list[int]) -> list[int]:
-    """The greedy incumbent, which reads unmet counts, not need masks."""
+    """The greedy pick that seeds the reference, which reads unmet
+    counts, not need masks."""
     return _greedy_cover(full, masks, weights, [need.bit_count() for need in needs])
 
 
 def check_against_reference(pool) -> None:
     full, masks, weights, needs = pool
-    incumbent = greedy(full, masks, weights, needs)
-    expected = exact_cover_reference(full, masks, weights, needs, incumbent)
-    assert _exact_cover(full, masks, weights, needs, incumbent) == expected
+    expected = exact_cover_reference(full, masks, weights, needs, greedy(full, masks, weights, needs))
+    assert _exact_cover(full, masks, weights, needs) == expected
 
 
 @given(tie_heavy_pools())
@@ -116,7 +118,7 @@ BALANCED = (0b11111, [0b00011, 0b11100, 0b00011, 0b11100], [1, 1, 1, 1])
 def test_bound_equal_to_slack_with_mixed_gains(needs, winner, incumbent):
     full, masks, weights = BALANCED
     assert exact_cover_reference(full, masks, weights, needs, incumbent) == winner
-    assert _exact_cover(full, masks, weights, needs, incumbent) == winner
+    assert _exact_cover(full, masks, weights, needs) == winner
 
 
 def gate_pools() -> list[tuple[int, list[int], list[int], list[int], list[int]]]:
@@ -148,7 +150,7 @@ def test_tie_heavy_gate():
     picks = []
     start = time.perf_counter()
     for full, masks, weights, needs, _ in pools:
-        picks.append(_exact_cover(full, masks, weights, needs, greedy(full, masks, weights, needs)))
+        picks.append(_exact_cover(full, masks, weights, needs))
     elapsed = time.perf_counter() - start
     assert picks == [expected for *_, expected in pools]
     bound = GATE_HEADROOM * GATE_MEDIAN_S

@@ -1,0 +1,136 @@
+"""Metamorphic relations of ``plan --format json``: changes to a
+dictionary that must leave what the CLI prints as it was.
+
+Generated instances (seeds 0-9, the flavor cycling with the seed; 8, 20,
+60 and 200 units at four KFs per five units) are each asked for their
+generated target in both modes, under every metric, with and without
+``--strict-residual``. Each relation compares the exit code, stdout and
+stderr of every such run with the run on the instance as generated:
+
+- the units in another order give the same bytes;
+- five more units, whose objectives are fresh KFs that nothing needs,
+  give the same bytes;
+- ids, KFs and cloud names renamed to rank-based names, which keeps
+  each kind's sort order, give the same bytes once the names are mapped
+  back.
+
+Scaling every duration and cost by one factor is left out: greedy
+counts a zero weight as 1, so scaling moves a pick whenever greedy takes
+a zero-weight unit that the rest of its pick covers, and exact mode
+keeps such a unit when it seeds the search (ROADMAP item 2).
+"""
+
+from __future__ import annotations
+
+import random
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from lqplan.generate import Flavor, GenSpec, generate
+from lqplan.model import LearnerProfile, LearnerQuantum, LQCloud, LQDictionary, serialize_dictionary
+from test_golden_cli import plan_json_cases, run_case
+
+SEEDS = range(10)
+SIZES = (8, 20, 60, 200)
+RENAMED = re.compile(r"~[UKC]\d{5}")
+
+Instance = tuple[LQDictionary, LearnerProfile]
+
+
+@pytest.fixture(scope="module")
+def generated() -> dict[str, Instance]:
+    flavors = list(Flavor)
+    found = {}
+    for seed in SEEDS:
+        flavor = flavors[seed % len(flavors)]
+        for units in SIZES:
+            spec = GenSpec(seed=seed, lq_count=units, kf_count=units * 4 // 5, flavor=flavor)
+            found[f"{flavor.value}-{units}-s{seed}"] = generate(spec)
+    return found
+
+
+def run_plans(dict_dir: Path, name: str, dictionary: LQDictionary, profile: LearnerProfile) -> dict[str, tuple]:
+    """The 12 ``plan --format json`` results of the instance's query."""
+    path = dict_dir / f"{name}.json"
+    path.write_bytes(serialize_dictionary(dictionary))
+    base = ["plan", "--dict", str(path), "--known", ",".join(sorted(profile.known)),
+            "--target", ",".join(sorted(profile.target))]
+    return {case: run_case(argv) for case, argv in plan_json_cases(name, base).items()}
+
+
+def all_kfs(dictionary: LQDictionary, profile: LearnerProfile) -> list[str]:
+    return sorted(frozenset().union(profile.known, profile.target,
+                                    *(q.prerequisites | q.objectives for q in dictionary.quanta)))
+
+
+def permuted(dictionary: LQDictionary, profile: LearnerProfile, rng: random.Random) -> Instance:
+    quanta = list(dictionary.quanta)
+    rng.shuffle(quanta)
+    return replace(dictionary, quanta=tuple(quanta)), profile
+
+
+def with_noise(dictionary: LQDictionary, profile: LearnerProfile, rng: random.Random) -> Instance:
+    """Five units at random places, each needing up to two of the
+    instance's KFs and delivering one fresh KF."""
+    kfs = all_kfs(dictionary, profile)
+    quanta = list(dictionary.quanta)
+    for n in range(5):
+        needs = rng.sample(kfs, rng.randint(0, min(2, len(kfs))))
+        noise = LearnerQuantum(f"noise{n}", "Noise", needs, {f"fresh{n}"}, rng.randint(0, 60), rng.randint(0, 9))
+        quanta.insert(rng.randint(0, len(quanta)), noise)
+    return replace(dictionary, quanta=tuple(quanta)), profile
+
+
+def renaming(dictionary: LQDictionary, profile: LearnerProfile) -> dict[str, str]:
+    """Each id, KF and cloud name to ``~`` and a kind letter, then its
+    zero-padded rank among the names of its kind."""
+    kinds = (
+        ("U", sorted({q.id for q in dictionary.quanta})),
+        ("K", all_kfs(dictionary, profile)),
+        ("C", sorted(c.name for c in dictionary.clouds)),
+    )
+    return {name: f"~{kind}{rank:05d}" for kind, names in kinds for rank, name in enumerate(names)}
+
+
+def renamed(dictionary: LQDictionary, profile: LearnerProfile, to: dict[str, str]) -> Instance:
+    def kfs(names):
+        return {to[kf] for kf in names}
+
+    quanta = tuple(
+        replace(q, id=to[q.id], prerequisites=kfs(q.prerequisites), objectives=kfs(q.objectives))
+        for q in dictionary.quanta
+    )
+    clouds = tuple(LQCloud(to[c.name], {to[i] for i in c.member_ids}) for c in dictionary.clouds)
+    return replace(dictionary, quanta=quanta, clouds=clouds), LearnerProfile(kfs(profile.known), kfs(profile.target))
+
+
+@pytest.fixture(scope="module")
+def as_generated(generated, tmp_path_factory) -> dict[str, dict[str, tuple]]:
+    dict_dir = tmp_path_factory.mktemp("generated")
+    results = {name: run_plans(dict_dir, name, *instance) for name, instance in generated.items()}
+    codes = {code for runs in results.values() for code, _, _ in runs.values()}
+    assert codes == {0, 1, 3}, codes  # plans, infeasible queries and cycles all take part
+    return results
+
+
+@pytest.mark.parametrize("relation", [permuted, with_noise], ids=["permuted", "noise"])
+def test_same_bytes(generated, as_generated, tmp_path, relation):
+    for index, (name, instance) in enumerate(generated.items()):
+        changed = relation(*instance, random.Random(index))
+        assert run_plans(tmp_path, name, *changed) == as_generated[name], name
+
+
+def test_renamed_gives_same_bytes_mapped_back(generated, as_generated, tmp_path):
+    for name, instance in generated.items():
+        to = renaming(*instance)
+        back = {new: old for old, new in to.items()}
+
+        def unmap(text: str) -> str:
+            return RENAMED.sub(lambda m: back[m.group()], text)
+
+        runs = run_plans(tmp_path, name, *renamed(*instance, to))
+        mapped = {case: (code, unmap(out), unmap(err)) for case, (code, out, err) in runs.items()}
+        assert mapped == as_generated[name], name
