@@ -305,7 +305,9 @@ def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[in
     (the lowest such bit on ties); the i-th option is explored with all
     earlier options banned, which partitions the search space. Unbounded,
     it would reach every cover that has no free-riding member exactly
-    once, and some covers with a member made redundant later.
+    once, and some covers with a member made redundant later. A target's
+    usable options are one AND of its supplier bitset with the members
+    not banned.
 
     The bound is Beasley's price bound: each open target is charged the
     least ``weight / gain`` over its usable options, where ``gain``
@@ -315,7 +317,9 @@ def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[in
     number of targets), which every gain divides, so the bound is exact.
     A branch is cut when its weight plus the bound exceeds the best
     key's weight, or equals it while the branch's unmet prerequisites,
-    which only grow down a branch, already outnumber the best key's.
+    which only grow down a branch, already outnumber the best key's. A
+    child that closes the last open targets is scored in place, as a
+    leaf: it can win only if it weighs no more than the best key.
 
     A cover's selection key is its total weight, then the number of its
     unmet prerequisite KFs (the popcount of its OR-ed need masks), then
@@ -330,9 +334,9 @@ def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[in
     free-riding member. It may hold one itself: a zero-weight unit of the
     greedy pick that the rest of it covers stays when its id sorts first.
     """
-    target_bits = list(_bits(full))
-    suppliers = [[i for i, mask in enumerate(masks) if mask & bit] for bit in target_bits]
-    scale = lcm(*range(1, len(target_bits) + 1))
+    supply = {bit: sum(1 << i for i, mask in enumerate(masks) if mask & bit) for bit in _bits(full)}
+    scale = lcm(*range(1, len(supply) + 1))
+    scaled = [weight * scale for weight in weights]
     incumbent = _greedy_cover(full, masks, weights, [need.bit_count() for need in needs])
     unmet = reduce(or_, (needs[i] for i in incumbent), 0).bit_count()
     best_key = (sum(weights[i] for i in incumbent), unmet, tuple(sorted(incumbent)))
@@ -340,24 +344,35 @@ def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[in
     def search(remaining: int, allowed: int, chosen: list[int], weight: int, need: int) -> None:
         nonlocal best_key
         excess = (weight - best_key[0]) * scale  # becomes (weight + bound - best) * scale
-        branch_options: list[int] | None = None
-        for bit, options in zip(target_bits, suppliers):
-            if not remaining & bit:
-                continue
+        branch = 0
+        open_bits = remaining
+        while open_bits:
+            bit = open_bits & -open_bits
+            open_bits ^= bit
             # never empty: minimal_cover refused unsupplied targets, and a sibling bans
             # only options of the branch bit, which has the fewest of any open bit
-            options = [i for i in options if allowed >> i & 1]
-            excess += min(weights[i] * scale // (masks[i] & remaining).bit_count() for i in options)
-            if branch_options is None or len(options) < len(branch_options):
-                branch_options = options
+            options = rest = supply[bit] & allowed
+            least = None
+            while rest:  # highest member first: the least price needs no order
+                i = rest.bit_length() - 1
+                rest ^= 1 << i
+                price = scaled[i] // (masks[i] & remaining).bit_count()
+                if least is None or price < least:
+                    least = price
+            excess += least
+            if not branch or options.bit_count() < branch.bit_count():
+                branch = options
         if excess > 0 or excess == 0 and need.bit_count() > best_key[1]:
             return
-        if branch_options is None:  # a cover that can still win
-            best_key = min(best_key, (weight, need.bit_count(), tuple(sorted(chosen))))
-            return
-        for i in branch_options:
-            allowed &= ~(1 << i)  # bans i here and in every later sibling
-            search(remaining & ~masks[i], allowed, chosen + [i], weight + weights[i], need | needs[i])
+        while branch:  # lowest member first
+            i = (branch & -branch).bit_length() - 1
+            branch ^= 1 << i
+            allowed ^= 1 << i  # bans i here and in every later sibling
+            if left := remaining & ~masks[i]:
+                search(left, allowed, chosen + [i], weight + weights[i], need | needs[i])
+            elif weight + weights[i] <= best_key[0]:  # a cover that can still win
+                key = (weight + weights[i], (need | needs[i]).bit_count(), tuple(sorted(chosen + [i])))
+                best_key = min(best_key, key)
 
     search(full, (1 << len(masks)) - 1, [], 0, 0)
     return list(best_key[2])

@@ -617,25 +617,24 @@ def closure_over(known: Iterable[str], quanta: Iterable[LearnerQuantum]) -> KFSe
 
     A quantum is ready once all its prerequisites are held; taking it adds
     its objectives. This is a least fixpoint, computed with a worklist on
-    a waiter map built for this call: each quantum counts the
-    prerequisites it still misses, every newly held KF (the known ones
-    first) lowers the counts of the quanta waiting on it, and a quantum
-    fires exactly once, when its count hits zero.
+    a waiter map built for this call from the prerequisites ``known``
+    lacks: each quantum counts the ones it still misses, every newly
+    gained KF lowers the counts of the quanta waiting on it, and a
+    quantum fires exactly once, when its count hits zero.
     """
     scope = list(quanta)
-    waiting_on = _positions_by_kf(q.prerequisites for q in scope)
-    missing = [len(q.prerequisites) for q in scope]
     held: set[str] = set(known)
-    fresh: set[str] = held  # held KFs whose waiters have not been told yet
+    unmet = [q.prerequisites - held for q in scope]
+    waiting_on = _positions_by_kf(unmet)
+    missing = list(map(len, unmet))
     ready = [i for i, count in enumerate(missing) if not count]
-    while True:
+    while ready:
+        fresh = set().union(*[scope[i].objectives for i in ready]) - held
+        held |= fresh
+        ready = []
         for kf in fresh:
             for waiter in waiting_on.get(kf, ()):
                 missing[waiter] -= 1
                 if not missing[waiter]:
                     ready.append(waiter)
-        if not ready:
-            return frozenset(held)
-        fresh = set().union(*[scope[i].objectives for i in ready]) - held
-        held |= fresh
-        ready = []
+    return frozenset(held)

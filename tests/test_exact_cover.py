@@ -5,11 +5,13 @@ prerequisite count; ``oracles.exact_cover_reference`` is the search as it
 stood before, which visits every cover without a free-riding member.
 ``_exact_cover`` seeds itself with the greedy pick; the reference is
 handed the same pick. On encoded pools full of ties both must return
-the same picks, call for call. The pools are drawn at the encoded
-level: every target has two to four suppliers, weights come from
-{0, 1, 2, 3} (or are all 1, as under the count metric), and needs from
-four prerequisite bits, so weights and need counts tie and only the
-whole key tells covers apart.
+the same picks, call for call. The drawn pools are encoded: every
+target has two to four suppliers, weights come from {0, 1, 2, 3} (or
+are all 1, as under the count metric), and needs from four prerequisite
+bits, so weights and need counts tie and only the whole key tells
+covers apart. The recorded pools are the parts that exact-mode backward
+resolution hands ``_exact_cover`` on generated dictionaries, with
+one-target parts, targets with one supplier and zero weights.
 
 The time gate runs tie-heavy pools that the old bound searched in full
 and requires them within ``GATE_HEADROOM`` times the median measured when
@@ -21,12 +23,23 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import suppress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqplan.cover import MAX_EXACT_CANDIDATES, _exact_cover, _greedy_cover
+from lqplan import cover
+from lqplan.cover import (
+    MAX_EXACT_CANDIDATES,
+    CoverConfig,
+    _bits,
+    _exact_cover,
+    _greedy_cover,
+    backward_resolve,
+)
+from lqplan.generate import Flavor, GenSpec, generate
+from lqplan.model import LearnerProfile, LQPlanError, MinimalityMetric, closure_over
 from oracles import exact_cover_reference
 
 NEED_BITS = 4
@@ -34,8 +47,9 @@ GATE_POOLS = 20
 GATE_TARGETS = 8
 # Median seconds of _exact_cover over the GATE_POOLS pools, 11 runs on a
 # 2-vCPU VM with CPython 3.11.7. The search before the price bound took
-# about 0.8 s for the same pools.
-GATE_MEDIAN_S = 0.016
+# about 0.8 s for the same pools, and before nodes read supplier bitsets
+# about 0.014 s.
+GATE_MEDIAN_S = 0.008
 GATE_HEADROOM = 5
 
 
@@ -96,6 +110,40 @@ def test_matches_reference_on_tie_heavy_pools(pool):
 @settings(max_examples=2_000, deadline=None)
 def test_matches_reference_at_the_cap(pool):
     check_against_reference(pool)
+
+
+@pytest.mark.parametrize("lq_count", [200, 2_000])
+@pytest.mark.parametrize("flavor", [Flavor.FEASIBLE, Flavor.ADVERSARIAL])
+def test_matches_reference_on_resolution_pools(monkeypatch, flavor, lq_count):
+    """Every pool that exact-mode ``backward_resolve`` hands ``_exact_cover``
+    on five generated dictionaries, under each metric, with reuse and
+    strict residuals, for the generated target and for eight attainable
+    KFs. ``minimal_cover`` looks ``_exact_cover`` up at call time."""
+    pools = []
+
+    def recording(*pool):
+        pools.append(pool)
+        return _exact_cover(*pool)
+
+    monkeypatch.setattr(cover, "_exact_cover", recording)
+    for seed in range(5):
+        spec = GenSpec(seed=seed, lq_count=lq_count, kf_count=lq_count * 4 // 5, flavor=flavor)
+        dictionary, profile = generate(spec)
+        attainable = sorted(closure_over(profile.known, dictionary.quanta) - profile.known)
+        for target in (profile.target, frozenset(random.Random(seed).sample(attainable, 8))):
+            for metric in MinimalityMetric:
+                for reuse in (True, False):
+                    config = CoverConfig(metric=metric, reuse_acquired_objectives=reuse)
+                    query = LearnerProfile(profile.known, target)
+                    with suppress(LQPlanError):  # Infeasible, or ExactTooLarge past the cap
+                        backward_resolve(query, dictionary, config=config)
+    assert any(full.bit_count() == 1 for full, *_ in pools)
+    assert any(
+        sum(1 for mask in masks if mask & bit) == 1 for full, masks, *_ in pools for bit in _bits(full)
+    )
+    assert any(0 in weights for _, _, weights, _ in pools)
+    for pool in pools:
+        check_against_reference(pool)
 
 
 # Five targets: members 0 and 2 supply the first two, 1 and 3 the other

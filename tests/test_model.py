@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 from unittest import mock
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import KF_POOL, make_d1_prime, profiles, quanta_lists, small_dictionaries
 from lqplan import model
+from lqplan.cover import CoverConfig, CoverMode, backward_resolve
+from lqplan.generate import GenSpec, generate
 from lqplan.model import (
     LearnerProfile,
     LearnerQuantum,
@@ -441,6 +444,31 @@ def test_closure_matches_rescan_oracle(d, queries):
                 cone = d.scoped(scope).cone(goal, known)
                 assert goal & closure_over(known, cone) == goal & reached
         assert d.scoped(scope) is d.scoped(scope)
+
+
+@pytest.mark.parametrize("lq_count", [200, 2_000])
+@pytest.mark.parametrize("seed", range(3))
+def test_closure_matches_rescan_at_generated_known_sets(seed, lq_count):
+    """Known sets as large as the benchmark's, where the KF_POOL draws
+    above stay small: the generated profile's known set plus 0-50
+    attainable KFs, KFs no unit requires and one no unit mentions, over
+    the whole scope, a target cone and a resolved selection, with
+    ``known`` also passed as a one-shot iterator."""
+    d, profile = generate(GenSpec(seed=seed, lq_count=lq_count, kf_count=lq_count * 4 // 5))
+    rng = random.Random(seed)
+    attainable = sorted(closure_by_rescan(profile.known, d.quanta) - profile.known)
+    required = frozenset().union(*(q.prerequisites for q in d.quanta))
+    unrequired = sorted(frozenset().union(*(q.objectives for q in d.quanta)) - required)
+    scope = d.scoped()
+    for extra in (0, 7, 50):
+        known = profile.known | {*rng.sample(attainable, extra), *rng.sample(unrequired, 5), "k-absent"}
+        target = frozenset(rng.sample(sorted(set(attainable) - known), 6))
+        trace = backward_resolve(LearnerProfile(known, target), d, config=CoverConfig(mode=CoverMode.GREEDY))
+        selection = [d.by_id[i] for i in trace.solution]
+        for quanta in (scope, scope.cone(target, known), selection):
+            reached = closure_by_rescan(known, quanta)
+            assert closure_over(known, quanta) == reached
+            assert closure_over(iter(known), quanta) == reached
 
 
 def test_cone_is_goal_directed(d1, cycle_trap):
