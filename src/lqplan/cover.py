@@ -9,10 +9,10 @@ either exactly (branch and bound) or greedily.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from heapq import heapify, heappop, heapreplace
 from math import lcm
 from operator import attrgetter, or_
 from typing import Iterable, Iterator
@@ -163,11 +163,11 @@ def minimal_cover(
 ) -> frozenset[str]:
     """Pick a set of candidates whose objectives cover ``targets``.
 
-    Only candidates whose objectives intersect the targets take part.
-    Greedy mode runs ``_greedy_cover`` on the pool, which repeatedly takes
-    the best coverage-per-weight candidate and may overshoot the minimum.
-    Exact mode runs ``_exact_cover``, whose docstring says which cover it
-    returns, once per part of the pool.
+    Only candidates with a nonzero target mask (objectives meeting the
+    targets) take part. Greedy mode runs ``_greedy_cover`` on the pool,
+    which repeatedly takes the best coverage-per-weight candidate and may
+    overshoot the minimum. Exact mode runs ``_exact_cover``, whose
+    docstring says which cover it returns, once per part of the pool.
 
     A pool of at most ``MAX_EXACT_CANDIDATES`` members is one part. A
     larger one is split into its independent components: targets that
@@ -190,9 +190,11 @@ def minimal_cover(
         raise ValueError(f"targets overlap the known set: {sorted(targets & known)}")
     if not targets:
         return frozenset()
-    pool = [q for q in candidates if not targets.isdisjoint(q.objectives)]
-    pool.sort(key=attrgetter("id"))
+    pool = sorted(candidates, key=attrgetter("id"))
     full, masks, weights = _encode(targets, pool, config.metric)
+    if 0 in masks:
+        pool = [q for q, mask in zip(pool, masks) if mask]
+        full, masks, weights = _encode(targets, pool, config.metric)
     if reduce(or_, masks, 0) != full:
         raise NoCover(targets.difference(*(q.objectives for q in pool)))
     if config.mode is CoverMode.GREEDY:
@@ -260,7 +262,7 @@ def _greedy_cover(full: int, masks: list[int], weights: list[int], unmet: list[i
     counts: take the most targets per unit of weight, then the fewest
     unmet prerequisites, then the lowest pool index (smallest id).
 
-    A heap entry is ``(-((gain << shift) // weight), unmet, index)``, with
+    An entry is ``(-((gain << shift) // weight), unmet, index)``, with
     a zero weight counted as 1 (the exact solver still sums it as 0) and
     ``2 ** shift`` above the square of the largest weight W. Two unequal
     ratios differ by at least 1 / W**2, so the floored key keeps every
@@ -268,33 +270,32 @@ def _greedy_cover(full: int, masks: list[int], weights: list[int], unmet: list[i
     tuple order is the rule, exact at any weight. At one weight, distinct
     gains get distinct keys.
 
-    Lazy evaluation after Minoux: the heap holds each member's key from
-    when it was last scored. Gains only shrink as targets get covered, so
-    a stale entry never ranks below its true place. The top entry is
-    re-scored; if its key is unchanged it is the true best and is taken,
-    otherwise it goes back with its new key, or out once it has no gain.
+    Lazy evaluation after Minoux: the entries are sorted once and keep
+    each member's key from when it was last scored. Gains only shrink as
+    targets get covered, so a stale entry never ranks below its true
+    place. A cursor re-scores the least unread entry; if its key is
+    unchanged it is the true best and is taken, otherwise it goes back in
+    key order with its new key, or out once it has no gain.
     """
     weights = [weight or 1 for weight in weights]
     shift = 2 * max(weights).bit_length()
-    heap = [
+    entries = sorted(
         (-((mask.bit_count() << shift) // weight), count, i)
         for i, (mask, weight, count) in enumerate(zip(masks, weights, unmet))
-    ]
-    heapify(heap)
+    )
     remaining = full
     chosen: list[int] = []
+    cursor = 0
     while remaining:
-        key, count, i = heap[0]
+        key, count, i = entries[cursor]
+        cursor += 1
         gain = (masks[i] & remaining).bit_count()
         fresh = -((gain << shift) // weights[i])
         if fresh == key:
-            heappop(heap)
             chosen.append(i)
             remaining &= ~masks[i]
         elif gain:
-            heapreplace(heap, (fresh, count, i))
-        else:
-            heappop(heap)
+            insort(entries, (fresh, count, i), cursor)
     return chosen
 
 
@@ -436,10 +437,12 @@ def backward_resolve(
         if unreachable := _unreachable(candidates, goal, profile.known):
             raise Infeasible(0, unreachable) from None
         raise
-    if not goal <= closure_over(profile.known, [by_id[lq_id] for lq_id in selected_ids]):
+    trace = SolutionTrace(tuple(iterations))
+    # in study order, last round first, so closure_over's sweep fires most units as it meets them
+    if not goal <= closure_over(profile.known, map(by_id.__getitem__, reversed(trace.solution))):
         if unreachable := _unreachable(candidates, goal, profile.known):
             raise Infeasible(0, unreachable)
-    return SolutionTrace(tuple(iterations))
+    return trace
 
 
 def prerequisite_gap(

@@ -616,14 +616,20 @@ def closure_over(known: Iterable[str], quanta: Iterable[LearnerQuantum]) -> KFSe
     """Every KF reachable from ``known`` by repeatedly taking ready quanta.
 
     A quantum is ready once all its prerequisites are held; taking it adds
-    its objectives. This is a least fixpoint, computed with a worklist on
-    a waiter map built for this call from the prerequisites ``known``
-    lacks: each quantum counts the ones it still misses, every newly
-    gained KF lowers the counts of the quanta waiting on it, and a
-    quantum fires exactly once, when its count hits zero.
+    its objectives. This least fixpoint is the same for any order of
+    ``quanta``. One sweep in that order takes each quantum ready when
+    reached. The rest count the prerequisites they still miss, on a
+    waiter map built for this call: every newly gained KF lowers the
+    counts of the quanta waiting on it, and one fires when its count
+    hits zero.
     """
-    scope = list(quanta)
     held: set[str] = set(known)
+    scope: list[LearnerQuantum] = []
+    for q in quanta:
+        if q.prerequisites <= held:
+            held |= q.objectives
+        else:
+            scope.append(q)
     unmet = [q.prerequisites - held for q in scope]
     waiting_on = _positions_by_kf(unmet)
     missing = list(map(len, unmet))

@@ -4,6 +4,7 @@ is run here; CI runs the tool on tiny inputs)."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,10 @@ END_TO_END = [
 ]
 
 
-def run(side: str, seed: int, qps: float, setup: float, exit_code: int = 0) -> dict:
+def run(side: str, seed: int, qps: float, setup: float, exit_code: int = 0, digest: str | None = "sha256:a",
+        workload: str = "w") -> dict:
     metrics = {"queries_per_s": {"value": qps, "unit": "1/s"}, "setup_s": {"value": setup, "unit": "s"}}
-    return {"workload": "w", "side": side, "seed": seed, "exit_code": exit_code,
+    return {"workload": workload, "side": side, "seed": seed, "exit_code": exit_code, "digest": digest,
             "result": {"correct": True, "metrics": metrics}}
 
 
@@ -49,3 +51,30 @@ def test_failed_runs_leave_the_summary():
     runs = [run("parent", 0, 100, 1.0), run("change", 0, 10, 9.0, exit_code=1)]
     qps = bench_pairs.summarize(runs, ["w"], END_TO_END)["w"]["queries_per_s"]
     assert (qps["pairs"], qps["change"]["median"], qps["worse"]) == (0, None, None)
+
+
+def test_digests_differ_lists_the_seeds_whose_picks_moved():
+    runs = [run("parent", 0, 100, 1.0), run("change", 0, 100, 1.0),
+            run("change", 1, 100, 1.0, digest="sha256:b"), run("parent", 1, 100, 1.0),
+            run("parent", 2, 100, 1.0), run("change", 2, 100, 1.0, exit_code=1, digest=None),
+            run("parent", 0, 100, 1.0, workload="v"), run("change", 0, 100, 1.0, workload="v", digest="sha256:c")]
+    assert bench_pairs.digests_differ(runs, ["w", "v", "u"]) == {"w": [1], "v": [0], "u": []}
+
+
+def test_main_names_the_seeds_whose_digests_differ(tmp_path, monkeypatch, capsys):
+    spec = {"command": ["true"], "workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": END_TO_END}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def fake_run(command, tree, workload, seed, seconds, size):
+        moved = tree.name == "change" and workload == "v" and seed == 1
+        made_up = run(tree.name, seed, 100, 1.0, digest="sha256:b" if moved else "sha256:a")
+        return {"seconds": 0.0, **{key: made_up[key] for key in ("exit_code", "digest", "result")}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert json.loads(out.read_text())["digests_differ"] == {"w": [], "v": [1]}
+    assert capsys.readouterr().err.splitlines()[-1].endswith("digests differ: v seed 1")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import replace
 from functools import reduce
 from itertools import combinations, product
 from operator import or_
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,37 @@ def component_pools(draw, weights=st.integers(min_value=0, max_value=3), shared_
             pool.append(LearnerQuantum(next(ids), "u", prerequisites, objectives, draw(weights), draw(weights)))
     targets = frozenset().union(*(q.objectives for q in pool))
     return tuple(pool), targets, frozenset(known)
+
+
+@st.composite
+def stale_pools(draw):
+    """A (pool, targets, known) triple on which the lazy greedy re-scores
+    an entry and keeps it.
+
+    Units a and b weigh 1 and cover k targets each, k - 1 of them shared,
+    and b also covers ``solo``, which no other unit covers. Every other
+    unit covers fewer than k targets, so no ratio beats theirs. Whichever
+    of a and b is read first is taken; the other is read next, stale, and
+    goes back in with a gain of 1. b alone covers ``solo``, so it is
+    always taken.
+    """
+    k = draw(st.integers(min_value=2, max_value=4))
+    shared = [f"s{i}" for i in range(k - 1)]
+    spare = draw(st.lists(st.sampled_from(KF_POOL), min_size=1, max_size=5, unique=True))
+    kfs = shared + ["only-a"] + spare
+    known = frozenset(draw(st.frozensets(st.sampled_from(DENSE_KFS[:4]))))
+    prerequisites = st.frozensets(st.sampled_from(DENSE_KFS[:4]), max_size=2)
+    weights = st.integers(min_value=0, max_value=5)
+    ids = iter(draw(st.permutations([f"u{i}" for i in range(10)])))
+    pool = [
+        LearnerQuantum(next(ids), "a", draw(prerequisites), {*shared, "only-a"}, 1, 1),
+        LearnerQuantum(next(ids), "b", draw(prerequisites), {*shared, "solo"}, 1, 1),
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        objectives = draw(st.frozensets(st.sampled_from(kfs), min_size=1, max_size=k - 1))
+        pool.append(LearnerQuantum(next(ids), "o", draw(prerequisites), objectives, draw(weights), draw(weights)))
+    targets = frozenset().union(*(q.objectives for q in pool))
+    return tuple(draw(st.permutations(pool))), targets, known
 
 
 class TestMinimalCover:
@@ -339,6 +372,36 @@ class TestMinimalCover:
         config = CoverConfig(metric=metric, mode=CoverMode.GREEDY)
         got = minimal_cover(targets, quanta, profile.known, config)
         assert got == greedy_cover(targets, quanta, profile.known, metric)
+
+    def test_greedy_rescores_a_stale_entry_between_live_ones(self):
+        # a and b tie at 4 targets; after a, b keeps only t5 and goes back
+        # between c (2 targets) and f (t5 too, but one unmet prerequisite),
+        # so c is taken, then b, and f never is
+        pool = (
+            LearnerQuantum("a", "a", frozenset(), {"t1", "t2", "t3", "t4"}),
+            LearnerQuantum("b", "b", frozenset(), {"t1", "t2", "t3", "t5"}),
+            LearnerQuantum("c", "c", frozenset(), {"t6", "t7"}),
+            LearnerQuantum("f", "f", {"p"}, {"t5"}),
+        )
+        targets = frozenset().union(*(q.objectives for q in pool))
+        masks = [0b1111, 0b10111, 0b1100000, 0b10000]  # a, b, c and f over t1 ... t7
+        with mock.patch.object(cover, "insort", wraps=insort) as reinsert:
+            assert cover._greedy_cover(0b1111111, masks, [1] * 4, [0, 0, 0, 1]) == [0, 2, 1]
+        (entries, entry, cursor), = [call.args for call in reinsert.call_args_list]
+        assert entry[2] == 1 and [e[2] for e in entries[cursor:]] == [2, 1, 3]
+        assert minimal_cover(targets, pool, frozenset(), GREEDY) == frozenset("abc")
+        assert greedy_cover(targets, pool, frozenset(), MinimalityMetric.COUNT) == frozenset("abc")
+
+    @pytest.mark.parametrize("metric", list(MinimalityMetric))
+    @given(stale_pools())
+    @settings(max_examples=100, deadline=None)
+    def test_greedy_matches_oracle_on_stale_pools(self, metric, instance):
+        quanta, targets, known = instance
+        config = CoverConfig(metric=metric, mode=CoverMode.GREEDY)
+        with mock.patch.object(cover, "insort", wraps=insort) as reinsert:
+            got = minimal_cover(targets, quanta, known, config)
+        assert reinsert.called
+        assert got == greedy_cover(targets, quanta, known, metric)
 
     def test_greedy_ratio_is_exact_at_any_weight(self):
         # As floats 1/W == 2/(2W+1), so a float key would tie all three

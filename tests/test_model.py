@@ -471,6 +471,69 @@ def test_closure_matches_rescan_at_generated_known_sets(seed, lq_count):
             assert closure_over(iter(known), quanta) == reached
 
 
+def closure_rounds(known, quanta):
+    """The quanta that fire, by the rescan round in which they turn ready
+    (round 0: ready from ``known``), and the quanta that never fire."""
+    held, rounds, waiting = set(known), [], list(quanta)
+    while ready := [q for q in waiting if q.prerequisites <= held]:
+        rounds.append(ready)
+        waiting = [q for q in waiting if not q.prerequisites <= held]
+        held.update(*(q.objectives for q in ready))
+    return rounds, waiting
+
+
+def assert_closure_in_any_order(known, quanta):
+    """``closure_over`` equals the rescan oracle with both arguments passed
+    as one-shot iterators, in three orders of the quanta. The sweep always
+    fires round 0 and leaves every quantum that never fires; its waiter
+    map holds what the sweep left:
+    - firing order: the sweep fires every quantum that fires at all;
+    - reversed firing order;
+    - deepest round first: the sweep fires round 0 only, and every later
+      round fires in the worklist."""
+    rounds, never = closure_rounds(known, quanta)
+    fired = [q for ready in rounds for q in ready]
+    first = len(rounds[0]) if rounds else 0
+    reached = closure_by_rescan(known, quanta)
+    orders = [
+        (fired + never, len(never)),
+        ((fired + never)[::-1], None),
+        (never + [q for ready in reversed(rounds) for q in ready], len(quanta) - first),
+    ]
+    for order, left in orders:
+        with mock.patch.object(model, "_positions_by_kf", wraps=model._positions_by_kf) as waiters:
+            assert closure_over(iter(known), iter(order)) == reached
+        kept = len(waiters.call_args.args[0])
+        assert len(never) <= kept <= len(quanta) - first
+        assert left is None or kept == left
+
+
+@pytest.mark.parametrize("lq_count", [200, 2_000])
+@pytest.mark.parametrize("seed", range(2))
+def test_closure_matches_rescan_in_any_order(seed, lq_count):
+    """Generated dictionaries, plus a quantum that needs and delivers one
+    attainable KF, one that needs only the KF it delivers, and repeats of
+    every twentieth quantum."""
+    d, profile = generate(GenSpec(seed=seed, lq_count=lq_count, kf_count=lq_count * 4 // 5))
+    kf = min(closure_by_rescan(profile.known, d.quanta) - profile.known)
+    quanta = [
+        *d.quanta,
+        LearnerQuantum("self-fed", "needs and delivers one KF", {kf}, {kf, "k-self-fed"}),
+        LearnerQuantum("self-starved", "needs only what it delivers", {"k-starved"}, {"k-starved"}),
+        *d.quanta[::20],
+    ]
+    rounds, _ = closure_rounds(profile.known, quanta)
+    assert len(rounds) > 2  # so the three orders differ
+    assert_closure_in_any_order(profile.known, quanta)
+
+
+@given(quanta_lists(), kf_sets, st.sampled_from(KF_POOL), st.sampled_from(KF_POOL), st.integers(0, 3))
+@settings(max_examples=100)
+def test_closure_matches_rescan_in_any_order_on_drawn_quanta(quanta, known, both, delivered, repeats):
+    self_fed = LearnerQuantum("self-fed", "lists a KF on both sides", {both}, {both, delivered})
+    assert_closure_in_any_order(known, [*quanta, self_fed, *quanta[:repeats]])
+
+
 def test_cone_is_goal_directed(d1, cycle_trap):
     scope = d1.scoped()
     assert [q.id for q in scope.cone({"k2"}, frozenset({"k1"}))] == ["A"]

@@ -15,7 +15,9 @@ For every workload and end-to-end metric the summary holds each side's
 values, median and interquartile range, the pairs the change wins
 (strictly better, as the metric's ``better`` says), and ``worse``: whether
 the change's median is worse than the parent's by more than the metric's
-bound, taken as a fraction of the parent's median.
+bound, taken as a fraction of the parent's median. Beside it,
+``digests_differ`` lists each workload's seeds whose parent and change
+runs printed different digests: a speed change must not move a pick.
 
 Stdlib only. Exits 0 when every run ended with exit 0 and a final JSON
 line, 1 otherwise; the verdict on the metrics is in the file, not in the
@@ -125,6 +127,17 @@ def summarize(runs: list[dict], workloads: list[str], end_to_end: list[dict]) ->
     return summary
 
 
+def digests_differ(runs: list[dict], workloads: list[str]) -> dict[str, list[int]]:
+    """Per workload, the seeds at which both sides printed a digest and
+    the two differ."""
+    digests: dict[str, dict[int, set[str]]] = {workload: {} for workload in workloads}
+    for run in runs:
+        if run["digest"] is not None:
+            digests[run["workload"]].setdefault(run["seed"], set()).add(run["digest"])
+    return {workload: sorted(seed for seed, seen in by_seed.items() if len(seen) > 1)
+            for workload, by_seed in digests.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="source tree of the parent commit")
@@ -152,6 +165,7 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
     summary = summarize(runs, workloads, spec["end_to_end"])
     worse = [f"{w} {m}" for w, metrics in summary.items() for m, s in metrics.items() if s["worse"]]
+    moved = digests_differ(runs, workloads)
     document = {
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "size": args.size, "trace": 0,
                      "command": spec["command"]},
@@ -159,11 +173,13 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
         "summary": summary,
         "worse_than_bound": worse,
+        "digests_differ": moved,
     }
     args.out.write_text(json.dumps(document, indent=1) + "\n")
     failed = [r for r in runs if r["exit_code"] != 0 or r["result"] is None]
-    print(f"bench_pairs: {len(runs)} runs, {len(failed)} failed; worse than bound: {', '.join(worse) or 'none'}",
-          file=sys.stderr)
+    differ = [f"{w} seed {', '.join(map(str, seeds))}" for w, seeds in moved.items() if seeds]
+    print(f"bench_pairs: {len(runs)} runs, {len(failed)} failed; worse than bound: {', '.join(worse) or 'none'}; "
+          f"digests differ: {'; '.join(differ) or 'none'}", file=sys.stderr)
     return 1 if failed else 0
 
 
