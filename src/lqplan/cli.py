@@ -92,7 +92,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _plan_doc(
-    args: argparse.Namespace,
+    config: CoverConfig,
     dictionary: LQDictionary,
     profile: LearnerProfile,
     trace: SolutionTrace,
@@ -103,9 +103,9 @@ def _plan_doc(
         "subject": dictionary.subject,
         "known": sorted(profile.known),
         "target": sorted(profile.target),
-        "metric": args.metric,
-        "mode": args.mode,
-        "reuse_acquired_objectives": not args.strict_residual,
+        "metric": config.metric.value,
+        "mode": config.mode.value,
+        "reuse_acquired_objectives": config.reuse_acquired_objectives,
         "trace": {
             "iterations": [
                 {
@@ -149,7 +149,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     graph = build_digraph(trace.solution, dictionary, profile)
     plan = topo_schedule(graph, dictionary)
     if args.format == "json":
-        print(json.dumps(_plan_doc(args, dictionary, profile, trace, graph, plan), indent=2))
+        print(json.dumps(_plan_doc(config, dictionary, profile, trace, graph, plan), indent=2))
     elif args.format == "dot":
         sys.stdout.write(digraph_to_dot(graph, dictionary))
     else:
@@ -216,8 +216,9 @@ def _build_parser() -> _Parser:
     p_plan.add_argument("--known", default="", help="comma-separated KFs already held")
     p_plan.add_argument("--target", required=True, help="comma-separated KFs to reach")
     p_plan.add_argument("--cloud", default=None, help="restrict candidates to one cloud")
-    p_plan.add_argument("--metric", choices=["count", "duration", "cost"], default="count")
-    p_plan.add_argument("--mode", choices=["exact", "greedy"], default="exact")
+    config = CoverConfig()
+    p_plan.add_argument("--metric", choices=[m.value for m in MinimalityMetric], default=config.metric.value)
+    p_plan.add_argument("--mode", choices=[m.value for m in CoverMode], default=config.mode.value)
     p_plan.add_argument(
         "--strict-residual",
         action="store_true",
@@ -245,7 +246,7 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--lqs", type=int, required=True)
     p_gen.add_argument("--kfs", type=int, required=True)
-    p_gen.add_argument("--flavor", choices=["feasible", "infeasible", "adversarial"], default="feasible")
+    p_gen.add_argument("--flavor", choices=[f.value for f in Flavor], default=GenSpec.flavor.value)
     p_gen.add_argument("--out", required=True, help="output path prefix")
     p_gen.set_defaults(handler=_cmd_gen)
 

@@ -35,6 +35,7 @@ _SEED_MAX = 2**64 - 1
 # largest instance the scale tests plan for (100k units).
 _COUNT_MAX = 100_000
 _MAX_PREREQS = 3  # the most KFs a generated regular unit requires
+_MAX_OBJECTIVES = 2  # the most KFs a generated regular unit delivers
 
 
 class SpecInvalid(LQPlanError):
@@ -52,7 +53,6 @@ class GenSpec:
     seed: int
     lq_count: int
     kf_count: int
-    max_objectives: int = 2
     flavor: Flavor = Flavor.FEASIBLE
 
 
@@ -67,8 +67,6 @@ def _check(spec: GenSpec) -> None:
         raise SpecInvalid(f"lq_count must be at most {_COUNT_MAX}, got {spec.lq_count}")
     if spec.kf_count > _COUNT_MAX:
         raise SpecInvalid(f"kf_count must be at most {_COUNT_MAX}, got {spec.kf_count}")
-    if spec.max_objectives < 1:
-        raise SpecInvalid(f"max_objectives must be at least 1, got {spec.max_objectives}")
     if not isinstance(spec.flavor, Flavor):
         raise SpecInvalid(f"flavor must be a Flavor, got {spec.flavor!r}")
 
@@ -103,7 +101,7 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
     quanta: list[LearnerQuantum] = []
     regular_count = spec.lq_count - trap_quanta
     for i in range(1, regular_count + 1):
-        want = rng.randint(1, spec.max_objectives)
+        want = rng.randint(1, _MAX_OBJECTIVES)
         fresh = [unproduced.popleft() for _ in range(min(want, len(unproduced)))]
         if fresh:
             objectives, prereq_pool = fresh, available
@@ -140,15 +138,14 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
         bait = produced if produced else available
         first, second = trap_kfs
         for offset, (needs, makes) in enumerate(((first, second), (second, first))):
-            objectives = [makes]
-            if spec.max_objectives >= 2:
-                objectives.append(rng.choice(bait))
+            # drawn before the title: the order of draws fixes every seed's output
+            objectives = frozenset([makes, rng.choice(bait)])
             quanta.append(
                 LearnerQuantum(
                     id=f"q{str(regular_count + 1 + offset).zfill(lq_width)}",
                     title=f"Unit {regular_count + 1 + offset}: {rng.choice(_TOPICS)}",
                     prerequisites=frozenset([needs]),
-                    objectives=frozenset(objectives),
+                    objectives=objectives,
                     duration_minutes=0,
                     cost=0,
                 )

@@ -364,20 +364,15 @@ Source = Union[bytes, bytearray, str, IO[bytes], IO[str]]
 
 
 def _decode(source: Source) -> str:
-    if isinstance(source, (bytes, bytearray)):
-        raw: Union[bytes, str] = bytes(source)
-    elif isinstance(source, str):
-        raw = source
-    elif hasattr(source, "read"):
-        raw = source.read()
-    else:
+    raw = source.read() if hasattr(source, "read") else source
+    if isinstance(raw, str):
+        return raw
+    if not isinstance(raw, (bytes, bytearray)):
         raise TypeError(f"cannot read from {type(source).__name__}")
-    if isinstance(raw, (bytes, bytearray)):
-        try:
-            return bytes(raw).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from exc
-    return raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from exc
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

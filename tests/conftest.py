@@ -8,7 +8,6 @@ from lqplan.model import (
     LearnerQuantum,
     LQDictionary,
     serialize_dictionary,
-    serialize_profile,
 )
 
 KF_POOL = tuple(f"k{i}" for i in range(1, 8))
@@ -108,16 +107,6 @@ def write_dict(tmp_path):
     return _write
 
 
-@pytest.fixture
-def write_profile(tmp_path):
-    def _write(profile: LearnerProfile, name: str = "profile.json"):
-        path = tmp_path / name
-        path.write_bytes(serialize_profile(profile))
-        return path
-
-    return _write
-
-
 @st.composite
 def quanta_lists(draw, max_quanta: int = 6) -> tuple[LearnerQuantum, ...]:
     count = draw(st.integers(min_value=1, max_value=max_quanta))
@@ -151,6 +140,3 @@ def profiles(draw) -> LearnerProfile:
     known = draw(st.frozensets(st.sampled_from(KF_POOL), max_size=4))
     target = draw(st.frozensets(st.sampled_from(KF_POOL), min_size=1, max_size=3))
     return LearnerProfile(known=known, target=target)
-
-
-METRIC_NAMES = ("count", "duration", "cost")

@@ -45,12 +45,22 @@ def test_summary_counts_wins_and_the_bound():
     assert (qps["pairs"], qps["change_wins"], qps["worse"]) == (3, 2, False)
     assert qps["change"]["median"] == 110 and qps["change"]["iqr"] == pytest.approx(15)
     assert (setup["change_wins"], setup["worse"]) == (0, True)  # 1.3 s against at most 1.25 s
+    assert (qps["unresolved"], setup["unresolved"]) == (False, False)  # the parent never moved
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # parent queries_per_s 60, 100, 140: IQR 40 against 25; setup_s 1, 2, 3:
+    # IQR 1 against 0.5, but every change run is faster than every parent run
+    runs = [run("parent", seed, qps, setup) for seed, (qps, setup) in enumerate([(60, 1.0), (100, 2.0), (140, 3.0)])]
+    runs += [run("change", seed, qps, setup) for seed, (qps, setup) in enumerate([(110, 0.5), (120, 0.6), (130, 0.9)])]
+    summary = bench_pairs.summarize(runs, ["w"], END_TO_END)["w"]
+    assert (summary["queries_per_s"]["unresolved"], summary["setup_s"]["unresolved"]) == (True, False)
 
 
 def test_failed_runs_leave_the_summary():
     runs = [run("parent", 0, 100, 1.0), run("change", 0, 10, 9.0, exit_code=1)]
     qps = bench_pairs.summarize(runs, ["w"], END_TO_END)["w"]["queries_per_s"]
-    assert (qps["pairs"], qps["change"]["median"], qps["worse"]) == (0, None, None)
+    assert (qps["pairs"], qps["change"]["median"], qps["worse"], qps["unresolved"]) == (0, None, None, None)
 
 
 def test_digests_differ_lists_the_seeds_whose_picks_moved():
@@ -69,7 +79,8 @@ def test_main_names_the_seeds_whose_digests_differ(tmp_path, monkeypatch, capsys
 
     def fake_run(command, tree, workload, seed, seconds, size):
         moved = tree.name == "change" and workload == "v" and seed == 1
-        made_up = run(tree.name, seed, 100, 1.0, digest="sha256:b" if moved else "sha256:a")
+        qps = 60 + 80 * seed if tree.name == "parent" and workload == "w" else 100  # parent IQR 40, bound 25
+        made_up = run(tree.name, seed, qps, 1.0, digest="sha256:b" if moved else "sha256:a")
         return {"seconds": 0.0, **{key: made_up[key] for key in ("exit_code", "digest", "result")}}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
@@ -77,4 +88,4 @@ def test_main_names_the_seeds_whose_digests_differ(tmp_path, monkeypatch, capsys
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--pairs", "2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     assert json.loads(out.read_text())["digests_differ"] == {"w": [], "v": [1]}
-    assert capsys.readouterr().err.splitlines()[-1].endswith("digests differ: v seed 1")
+    assert capsys.readouterr().err.splitlines()[-1].endswith("unresolved: w queries_per_s; digests differ: v seed 1")

@@ -57,6 +57,19 @@ def quanta_by_id(dictionary, ids):
     return [dictionary.quantum(lq_id) for lq_id in ids]
 
 
+def widened_sample(dictionary, size, rng):
+    """``size`` units drawn from the dictionary, each given up to four
+    objectives: the extra ones are the dictionary's KFs outside its
+    prerequisites, so many units share objectives."""
+    kfs = sorted(frozenset().union(*(q.prerequisites | q.objectives for q in dictionary.quanta)))
+    quanta = []
+    for q in rng.sample(dictionary.quanta, size):
+        outside = [kf for kf in kfs if kf not in q.prerequisites and kf not in q.objectives]
+        extra = rng.sample(outside, rng.randint(0, 4 - len(q.objectives)))
+        quanta.append(replace(q, objectives=q.objectives | frozenset(extra)))
+    return quanta
+
+
 HUGE_WEIGHT = 10**15
 DENSE_KFS = tuple(f"t{i:02d}" for i in range(32))
 DENSE_PREREQS = tuple(frozenset(pair) for pair in combinations(KF_POOL[:4], 2))
@@ -298,8 +311,8 @@ class TestMinimalCover:
            st.randoms())
     @settings(max_examples=15, deadline=None)
     def test_within_cap_pick_is_the_whole_pool_search(self, metric, seed, size, rng):
-        dictionary, profile = generate(GenSpec(seed=seed, lq_count=300, kf_count=200, max_objectives=4))
-        quanta = rng.sample(dictionary.quanta, size)
+        dictionary, profile = generate(GenSpec(seed=seed, lq_count=300, kf_count=200))
+        quanta = widened_sample(dictionary, size, rng)
         targets = frozenset().union(*(q.objectives for q in quanta)) - profile.known
         pool = relevant_pool(targets, quanta)
         full, masks, weights = cover._encode(targets, pool, metric)
@@ -363,11 +376,10 @@ class TestMinimalCover:
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=30, max_value=300), st.randoms())
     @settings(max_examples=15, deadline=None)
     def test_greedy_matches_oracle_on_generated_pools(self, metric, seed, size, rng):
-        # Generated units share objectives (re-teaching units deliver KFs
-        # produced earlier), so picks shrink other units' gains and the
-        # lazy greedy has to re-score stale heap entries.
-        dictionary, profile = generate(GenSpec(seed=seed, lq_count=300, kf_count=200, max_objectives=4))
-        quanta = rng.sample(dictionary.quanta, size)
+        # Widened units share objectives, so picks shrink other units'
+        # gains and the lazy greedy has to re-score stale entries.
+        dictionary, profile = generate(GenSpec(seed=seed, lq_count=300, kf_count=200))
+        quanta = widened_sample(dictionary, size, rng)
         targets = frozenset().union(*(q.objectives for q in quanta)) - profile.known
         config = CoverConfig(metric=metric, mode=CoverMode.GREEDY)
         got = minimal_cover(targets, quanta, profile.known, config)

@@ -23,7 +23,6 @@ from oracles import closure_by_rescan
         dict(seed=2**64, lq_count=3, kf_count=5),
         dict(seed=1, lq_count=0, kf_count=5),
         dict(seed=1, lq_count=3, kf_count=1),
-        dict(seed=1, lq_count=3, kf_count=5, max_objectives=0),
         # over the size caps; refused before anything is allocated
         dict(seed=1, lq_count=100_001, kf_count=5),
         dict(seed=1, lq_count=3, kf_count=100_001),
@@ -156,3 +155,16 @@ def test_benchmark_dictionaries_are_pinned(lq_count, kf_count, digest):
     # moves them changes what every benchmark run measures
     dictionary, _ = generate(GenSpec(2026, lq_count, kf_count))
     assert hashlib.sha256(serialize_dictionary(dictionary)).hexdigest() == digest
+
+
+def test_every_flavor_is_pinned():
+    # the benchmark pins cover one flavor at two sizes; this grid also
+    # reaches the adversarial trap, the infeasible orphan and the sizes
+    # below which a flavor degrades
+    digest = hashlib.sha256()
+    for flavor in Flavor:
+        for lq_count in (1, 2, 3, 4, 5, 8, 40, 200):
+            for seed in range(40):
+                dictionary, profile = generate(GenSpec(seed, lq_count, max(2, lq_count * 4 // 5), flavor=flavor))
+                digest.update(serialize_dictionary(dictionary) + serialize_profile(profile))
+    assert digest.hexdigest() == "f0ae642465573fe612dc1489b4b83a73ea55286d167d114e9e6cbde7c7d36c8f"

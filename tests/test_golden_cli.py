@@ -109,14 +109,14 @@ def plan_json_cases(prefix: str, base: list[str]) -> dict[str, list[str]]:
     mode, every metric, with and without ``--strict-residual``. ``base``
     is the query's ``plan`` argv; ``prefix`` names it."""
     cases: dict[str, list[str]] = {}
-    for mode in ("exact", "greedy"):
-        for metric in ("count", "duration", "cost"):
+    for mode in CoverMode:
+        for metric in MinimalityMetric:
             for strict in (False, True):
-                argv = base + ["--mode", mode, "--metric", metric, "--format", "json"]
+                argv = base + ["--mode", mode.value, "--metric", metric.value, "--format", "json"]
                 if strict:
                     argv.append("--strict-residual")
                 residual = "strict" if strict else "reuse"
-                cases[f"plan {prefix} {mode} {metric} {residual} json"] = argv
+                cases[f"plan {prefix} {mode.value} {metric.value} {residual} json"] = argv
     return cases
 
 

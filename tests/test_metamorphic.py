@@ -12,16 +12,22 @@ stderr of every such run with the run on the instance as generated:
   give the same bytes;
 - ids, KFs and cloud names renamed to rank-based names, which keeps
   each kind's sort order, give the same bytes once the names are mapped
-  back.
+  back;
+- one more known KF, drawn from the closure of the known set, never
+  turns a run into "Infeasible at stage 0" (closure is monotone);
+- every duration and cost times 7 gives the same bytes but for both
+  totals, which are 7 times as large.
 
-Scaling every duration and cost by one factor is left out: greedy
-counts a zero weight as 1, so scaling moves a pick whenever greedy takes
-a zero-weight unit that the rest of its pick covers, and exact mode
-keeps such a unit when it seeds the search (ROADMAP item 2).
+Scaling fails where some unit weighs 0, so those instances run under a
+strict xfail: greedy counts a zero weight as 1, so scaling moves a pick
+whenever greedy takes a zero-weight unit that the rest of its pick
+covers, and exact mode keeps such a unit when it seeds the search
+(ROADMAP item 2).
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import replace
@@ -30,12 +36,14 @@ from pathlib import Path
 import pytest
 
 from lqplan.generate import Flavor, GenSpec, generate
-from lqplan.model import LearnerProfile, LearnerQuantum, LQCloud, LQDictionary, serialize_dictionary
+from lqplan.model import LearnerProfile, LearnerQuantum, LQCloud, LQDictionary, closure_over, serialize_dictionary
 from test_golden_cli import plan_json_cases, run_case
 
 SEEDS = range(10)
 SIZES = (8, 20, 60, 200)
 RENAMED = re.compile(r"~[UKC]\d{5}")
+STAGE_0 = "lqplan: Infeasible at stage 0:"
+FACTOR = 7
 
 Instance = tuple[LQDictionary, LearnerProfile]
 
@@ -134,3 +142,48 @@ def test_renamed_gives_same_bytes_mapped_back(generated, as_generated, tmp_path)
         runs = run_plans(tmp_path, name, *renamed(*instance, to))
         mapped = {case: (code, unmap(out), unmap(err)) for case, (code, out, err) in runs.items()}
         assert mapped == as_generated[name], name
+
+
+def test_a_known_kf_of_the_closure_never_makes_stage_0(generated, as_generated, tmp_path):
+    checked = 0
+    for index, (name, (dictionary, profile)) in enumerate(generated.items()):
+        gained = sorted(closure_over(profile.known, dictionary.quanta) - profile.known)
+        kf = random.Random(index).choice(gained)
+        runs = run_plans(tmp_path, name, dictionary, replace(profile, known=profile.known | {kf}))
+        for case, (_, _, err) in as_generated[name].items():
+            if not err.startswith(STAGE_0):
+                checked += 1
+                assert not runs[case][2].startswith(STAGE_0), (name, case, kf)
+    assert 0 < checked < sum(map(len, as_generated.values()))  # stage 0 occurs, and not only
+
+
+def scaled(dictionary: LQDictionary, profile: LearnerProfile) -> Instance:
+    quanta = tuple(replace(q, duration_minutes=q.duration_minutes * FACTOR, cost=q.cost * FACTOR)
+                   for q in dictionary.quanta)
+    return replace(dictionary, quanta=quanta), profile
+
+
+def same_but_scaled_totals(before: tuple, after: tuple) -> bool:
+    if before[0] != 0 or after[0] != 0:
+        return before == after
+    doc, scaled_doc = json.loads(before[1]), json.loads(after[1])
+    for total in ("total_duration_minutes", "total_cost"):
+        if scaled_doc["plan"][total] != doc["plan"][total] * FACTOR:
+            return False
+        scaled_doc["plan"][total] = doc["plan"][total]
+    return scaled_doc == doc and before[2] == after[2]
+
+
+FREE_RIDER = pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 2: a zero-weight unit rides free")
+
+
+@pytest.mark.parametrize("zero_weights", [False, pytest.param(True, marks=FREE_RIDER)],
+                         ids=["positive-weights", "zero-weights"])
+def test_scaled_weights_scale_only_the_totals(generated, as_generated, tmp_path, zero_weights):
+    names = [name for name, (dictionary, _) in generated.items()
+             if any(q.duration_minutes == 0 or q.cost == 0 for q in dictionary.quanta) == zero_weights]
+    assert names
+    for name in names:
+        runs = run_plans(tmp_path, name, *scaled(*generated[name]))
+        moved = [case for case, run in runs.items() if not same_but_scaled_totals(as_generated[name][case], run)]
+        assert not moved, (name, moved)

@@ -13,9 +13,12 @@ the stamp, digest and final JSON line parsed out. Each side records its
 
 For every workload and end-to-end metric the summary holds each side's
 values, median and interquartile range, the pairs the change wins
-(strictly better, as the metric's ``better`` says), and ``worse``: whether
+(strictly better, as the metric's ``better`` says), ``worse``: whether
 the change's median is worse than the parent's by more than the metric's
-bound, taken as a fraction of the parent's median. Beside it,
+bound, taken as a fraction of the parent's median, and ``unresolved``:
+whether the parent's interquartile range is wider than that bound while
+some change run does not beat every parent run, so that the runs cannot
+tell a change within the bound from none. Beside it,
 ``digests_differ`` lists each workload's seeds whose parent and change
 runs printed different digests: a speed change must not move a pick.
 
@@ -96,8 +99,9 @@ def spread(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], workloads: list[str], end_to_end: list[dict]) -> dict:
     """Per workload and metric: both sides' values, medians and IQRs, the
-    change's wins over the pairs where both sides gave the metric, and
-    whether the change's median is worse than the bound allows."""
+    change's wins over the pairs where both sides gave the metric, whether
+    the change's median is worse than the bound allows, and whether the
+    parent's spread is too wide for the bound to decide."""
     summary: dict = {}
     for workload in workloads:
         pairs: dict[int, dict[str, dict]] = {}
@@ -113,15 +117,20 @@ def summarize(runs: list[dict], workloads: list[str], end_to_end: list[dict]) ->
                     for _, p in sorted(pairs.items()) if len(p) == 2]
             wins = sum(change < parent if lower else change > parent for parent, change in both)
             parent, change = spread(values["parent"]), spread(values["change"])
-            worse = None
+            worse = unresolved = None
             if parent["median"] is not None and change["median"] is not None:
                 limit = parent["median"] * (1 + metric["bound"] if lower else 1 - metric["bound"])
                 worse = change["median"] > limit if lower else change["median"] < limit
+                if lower:
+                    beats_all = max(values["change"]) < min(values["parent"])
+                else:
+                    beats_all = min(values["change"]) > max(values["parent"])
+                unresolved = parent["iqr"] > metric["bound"] * parent["median"] and not beats_all
             per_metric[name] = {
                 "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                 "parent": {"values": values["parent"], **parent},
                 "change": {"values": values["change"], **change},
-                "pairs": len(both), "change_wins": wins, "worse": worse,
+                "pairs": len(both), "change_wins": wins, "worse": worse, "unresolved": unresolved,
             }
         summary[workload] = per_metric
     return summary
@@ -165,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
     summary = summarize(runs, workloads, spec["end_to_end"])
     worse = [f"{w} {m}" for w, metrics in summary.items() for m, s in metrics.items() if s["worse"]]
+    unresolved = [f"{w} {m}" for w, metrics in summary.items() for m, s in metrics.items() if s["unresolved"]]
     moved = digests_differ(runs, workloads)
     document = {
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "size": args.size, "trace": 0,
@@ -179,7 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     failed = [r for r in runs if r["exit_code"] != 0 or r["result"] is None]
     differ = [f"{w} seed {', '.join(map(str, seeds))}" for w, seeds in moved.items() if seeds]
     print(f"bench_pairs: {len(runs)} runs, {len(failed)} failed; worse than bound: {', '.join(worse) or 'none'}; "
-          f"digests differ: {'; '.join(differ) or 'none'}", file=sys.stderr)
+          f"unresolved: {', '.join(unresolved) or 'none'}; digests differ: {'; '.join(differ) or 'none'}",
+          file=sys.stderr)
     return 1 if failed else 0
 
 
