@@ -178,11 +178,11 @@ def minimal_cover(
     per component.
 
     Both solvers read target masks and weights from ``_encode`` and
-    identify members by position in the id-sorted pool. Greedy mode
-    also reads each member's unmet-prerequisite count; exact mode builds
-    need masks instead, in a bit space of their own, to OR them. A target
-    outside the OR of the target masks raises ``NoCover`` before any cap
-    is checked. ``known`` may be any iterable; a set is read in place.
+    identify members by position in the id-sorted pool. Both also read
+    each member's unmet-prerequisite set: greedy mode counts it, exact
+    mode unions it. A target outside the OR of the target masks raises
+    ``NoCover`` before any cap is checked. ``known`` may be any iterable;
+    a set is read in place.
     """
     targets = frozenset(targets)
     known = known if isinstance(known, (set, frozenset)) else frozenset(known)
@@ -197,27 +197,22 @@ def minimal_cover(
         full, masks, weights = _encode(targets, pool, config.metric)
     if reduce(or_, masks, 0) != full:
         raise NoCover(targets.difference(*(q.objectives for q in pool)))
+    unmet = [q.prerequisites - known for q in pool]
     if config.mode is CoverMode.GREEDY:
-        unmet = [len(q.prerequisites - known) for q in pool]
-        return frozenset(pool[i].id for i in _greedy_cover(full, masks, weights, unmet))
+        return frozenset(pool[i].id for i in _greedy_cover(full, masks, weights, list(map(len, unmet))))
     parts = [(full, range(len(pool)))]
     if len(pool) > MAX_EXACT_CANDIDATES:
         parts = _components(masks)
         largest = max(len(members) for _, members in parts)
         if largest > MAX_EXACT_CANDIDATES:
             raise ExactTooLarge(largest, MAX_EXACT_CANDIDATES)
-
-    unmet = [q.prerequisites - known for q in pool]
-    # the unmet KFs get bits in no set order: need masks are only OR-ed and counted
-    need_bit = {kf: 1 << i for i, kf in enumerate(frozenset().union(*unmet))}
-    needs = [sum(map(need_bit.__getitem__, kfs)) for kfs in unmet]
     picked: list[int] = []
     for part_full, members in parts:
         local = _exact_cover(
             part_full,
             [masks[i] for i in members],
             [weights[i] for i in members],
-            [needs[i] for i in members],
+            [unmet[i] for i in members],
         )
         picked += [members[j] for j in local]
     return frozenset(pool[i].id for i in picked)
@@ -299,7 +294,7 @@ def _greedy_cover(full: int, masks: list[int], weights: list[int], unmet: list[i
     return chosen
 
 
-def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[int]) -> list[int]:
+def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[KFSet]) -> list[int]:
     """Branch and bound over the candidate pool, seeded with its greedy pick.
 
     Branching is on the open target with the fewest usable candidates
@@ -323,10 +318,10 @@ def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[in
     leaf: it can win only if it weighs no more than the best key.
 
     A cover's selection key is its total weight, then the number of its
-    unmet prerequisite KFs (the popcount of its OR-ed need masks), then
+    unmet prerequisite KFs (the size of the union of its ``needs``), then
     its sorted index tuple (its sorted ids, as pools are sorted by id).
     The best key starts as that of ``_greedy_cover``'s pick on this pool,
-    whose unmet counts are the need masks' popcounts. The search visits
+    whose unmet counts are the sizes of the ``needs``. The search visits
     every cover whose key can still beat the best found so far, not
     every irredundant cover, and returns the least key among the covers
     it visits and the greedy pick, so identical inputs always yield
@@ -338,11 +333,11 @@ def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[in
     supply = {bit: sum(1 << i for i, mask in enumerate(masks) if mask & bit) for bit in _bits(full)}
     scale = lcm(*range(1, len(supply) + 1))
     scaled = [weight * scale for weight in weights]
-    incumbent = _greedy_cover(full, masks, weights, [need.bit_count() for need in needs])
-    unmet = reduce(or_, (needs[i] for i in incumbent), 0).bit_count()
+    incumbent = _greedy_cover(full, masks, weights, list(map(len, needs)))
+    unmet = len(frozenset().union(*(needs[i] for i in incumbent)))
     best_key = (sum(weights[i] for i in incumbent), unmet, tuple(sorted(incumbent)))
 
-    def search(remaining: int, allowed: int, chosen: list[int], weight: int, need: int) -> None:
+    def search(remaining: int, allowed: int, chosen: list[int], weight: int, need: KFSet) -> None:
         nonlocal best_key
         excess = (weight - best_key[0]) * scale  # becomes (weight + bound - best) * scale
         branch = 0
@@ -363,7 +358,7 @@ def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[in
             excess += least
             if not branch or options.bit_count() < branch.bit_count():
                 branch = options
-        if excess > 0 or excess == 0 and need.bit_count() > best_key[1]:
+        if excess > 0 or excess == 0 and len(need) > best_key[1]:
             return
         while branch:  # lowest member first
             i = (branch & -branch).bit_length() - 1
@@ -372,10 +367,10 @@ def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[in
             if left := remaining & ~masks[i]:
                 search(left, allowed, chosen + [i], weight + weights[i], need | needs[i])
             elif weight + weights[i] <= best_key[0]:  # a cover that can still win
-                key = (weight + weights[i], (need | needs[i]).bit_count(), tuple(sorted(chosen + [i])))
+                key = (weight + weights[i], len(need | needs[i]), tuple(sorted(chosen + [i])))
                 best_key = min(best_key, key)
 
-    search(full, (1 << len(masks)) - 1, [], 0, 0)
+    search(full, (1 << len(masks)) - 1, [], 0, frozenset())
     return list(best_key[2])
 
 

@@ -57,7 +57,10 @@ class GenSpec:
 
 
 def _check(spec: GenSpec) -> None:
-    if not isinstance(spec.seed, int) or not 0 <= spec.seed <= _SEED_MAX:
+    for name in ("seed", "lq_count", "kf_count"):
+        if not isinstance(value := getattr(spec, name), int) or isinstance(value, bool):
+            raise SpecInvalid(f"{name} must be an integer, got {value!r}")
+    if not 0 <= spec.seed <= _SEED_MAX:
         raise SpecInvalid(f"seed must be a 64-bit unsigned integer, got {spec.seed!r}")
     if spec.lq_count < 1:
         raise SpecInvalid(f"lq_count must be at least 1, got {spec.lq_count}")

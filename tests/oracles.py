@@ -157,21 +157,19 @@ def greedy_cover(
 # so any stronger bound must still return its pick, call for call.
 
 def _selection_key(
-    chosen: Iterable[int], weights: list[int], needs: list[int]
+    chosen: Iterable[int], weights: list[int], needs: list[KFSet]
 ) -> tuple[int, int, tuple[int, ...]]:
     """The preference order for covers of an encoded pool: lighter total
     weight, then fewer unmet prerequisite KFs, then the smaller sorted
     index tuple (the smaller sorted ids, as pools are sorted by id). Every
     exact selection point in this module uses this chain, so identical
     inputs always yield identical picks."""
-    need = 0
-    for i in chosen:
-        need |= needs[i]
-    return sum(weights[i] for i in chosen), need.bit_count(), tuple(sorted(chosen))
+    need = frozenset().union(*(needs[i] for i in chosen))
+    return sum(weights[i] for i in chosen), len(need), tuple(sorted(chosen))
 
 
 def exact_cover_reference(
-    full: int, masks: list[int], weights: list[int], needs: list[int], incumbent: list[int]
+    full: int, masks: list[int], weights: list[int], needs: list[KFSet], incumbent: list[int]
 ) -> list[int]:
     """Branch and bound over the candidate pool, seeded with the greedy pick.
 

@@ -89,3 +89,26 @@ def test_main_names_the_seeds_whose_digests_differ(tmp_path, monkeypatch, capsys
     assert bench_pairs.main(argv) == 0
     assert json.loads(out.read_text())["digests_differ"] == {"w": [], "v": [1]}
     assert capsys.readouterr().err.splitlines()[-1].endswith("unresolved: w queries_per_s; digests differ: v seed 1")
+
+
+def test_main_lists_each_sides_source_digests(tmp_path, monkeypatch, capsys):
+    spec = {"command": ["true"], "workloads": [{"name": "w"}], "end_to_end": END_TO_END}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def fake_run(command, tree, workload, seed, seconds, size):
+        # the change tree was edited between its two runs; the second parent run printed no stamp
+        source = "sha256:p" if tree.name == "parent" else f"sha256:c{seed}"
+        stamp = None if tree.name == "parent" and seed == 1 else {"source_sha256": source}
+        made_up = run(tree.name, seed, 100, 1.0)
+        return {"seconds": 0.0, "stamp": stamp, **{key: made_up[key] for key in ("exit_code", "digest", "result")}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    sides = json.loads(out.read_text())["sides"]
+    assert (sides["parent"]["source_sha256"], sides["change"]["source_sha256"]) == (["sha256:p"], ["sha256:c0", "sha256:c1"])
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert warnings == ["bench_pairs: warning: the change side ran 2 different sources"]

@@ -316,11 +316,8 @@ class TestMinimalCover:
         targets = frozenset().union(*(q.objectives for q in quanta)) - profile.known
         pool = relevant_pool(targets, quanta)
         full, masks, weights = cover._encode(targets, pool, metric)
-        # need masks built here in sorted order; minimal_cover's bit order is its own
         unmet = [q.prerequisites - profile.known for q in pool]
-        need_bit = {kf: 1 << i for i, kf in enumerate(sorted(frozenset().union(*unmet)))}
-        needs = [sum(need_bit[kf] for kf in kfs) for kfs in unmet]
-        whole = cover._exact_cover(full, masks, weights, needs)
+        whole = cover._exact_cover(full, masks, weights, unmet)
         got = minimal_cover(targets, quanta, profile.known, CoverConfig(metric=metric))
         assert got == frozenset(pool[i].id for i in whole)
 

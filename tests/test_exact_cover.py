@@ -8,7 +8,7 @@ handed the same pick. On encoded pools full of ties both must return
 the same picks, call for call. The drawn pools are encoded: every
 target has two to four suppliers, weights come from {0, 1, 2, 3} (or
 are all 1, as under the count metric), and needs from four prerequisite
-bits, so weights and need counts tie and only the whole key tells
+KFs, so weights and need counts tie and only the whole key tells
 covers apart. The recorded pools are the parts that exact-mode backward
 resolution hands ``_exact_cover`` on generated dictionaries, with
 one-target parts, targets with one supplier and zero weights.
@@ -42,7 +42,7 @@ from lqplan.generate import Flavor, GenSpec, generate
 from lqplan.model import LearnerProfile, LQPlanError, MinimalityMetric, closure_over
 from oracles import exact_cover_reference
 
-NEED_BITS = 4
+NEED_KFS = ("p0", "p1", "p2", "p3")
 GATE_POOLS = 20
 GATE_TARGETS = 8
 # Median seconds of _exact_cover over the GATE_POOLS pools, 11 runs on a
@@ -82,15 +82,14 @@ def tie_heavy_pools(draw, sizes=st.integers(min_value=1, max_value=MAX_EXACT_CAN
         weights = [1] * n
     else:
         weights = draw(st.lists(st.sampled_from((0, 1, 2, 3)), min_size=n, max_size=n))
-    need_bits = [1 << (len(groups) + b) for b in range(NEED_BITS)]
-    needs = [sum(draw(st.lists(st.sampled_from(need_bits), max_size=2, unique=True))) for _ in range(n)]
+    needs = [draw(st.frozensets(st.sampled_from(NEED_KFS), max_size=2)) for _ in range(n)]
     return (1 << len(groups)) - 1, masks, weights, needs
 
 
-def greedy(full: int, masks: list[int], weights: list[int], needs: list[int]) -> list[int]:
+def greedy(full: int, masks: list[int], weights: list[int], needs: list[frozenset[str]]) -> list[int]:
     """The greedy pick that seeds the reference, which reads unmet
-    counts, not need masks."""
-    return _greedy_cover(full, masks, weights, [need.bit_count() for need in needs])
+    counts, not unmet sets."""
+    return _greedy_cover(full, masks, weights, list(map(len, needs)))
 
 
 def check_against_reference(pool) -> None:
@@ -157,9 +156,9 @@ BALANCED = (0b11111, [0b00011, 0b11100, 0b00011, 0b11100], [1, 1, 1, 1])
 @pytest.mark.parametrize(
     "needs, winner",
     [
-        ([0, 0, 0, 0], [0, 1]),  # every lightest cover ties on unmet count: ids decide
-        ([0, 0, 1 << 5, 1 << 5], [0, 1]),
-        ([1 << 5, 1 << 6, 0, 0], [2, 3]),
+        ([frozenset()] * 4, [0, 1]),  # every lightest cover ties on unmet count: ids decide
+        ([frozenset(), frozenset(), {"p0"}, {"p0"}], [0, 1]),
+        ([{"p0"}, {"p1"}, frozenset(), frozenset()], [2, 3]),
     ],
 )
 @pytest.mark.parametrize("incumbent", [[0, 1], [0, 3], [1, 2], [2, 3], [0, 1, 2, 3]])
@@ -169,12 +168,12 @@ def test_bound_equal_to_slack_with_mixed_gains(needs, winner, incumbent):
     assert _exact_cover(full, masks, weights, needs) == winner
 
 
-def gate_pools() -> list[tuple[int, list[int], list[int], list[int], list[int]]]:
+def gate_pools() -> list[tuple[int, list[int], list[int], list[frozenset[str]], list[int]]]:
     """GATE_POOLS pools of 8 targets with 3 weight-1 suppliers each, in
     shuffled pool order. The three suppliers of a target need three
-    different bits of the same three, so every cover ties on weight, and
-    the three covers needing one bit win on the unmet count. A target's
-    first supplier in pool order needs bit 0, so the greedy pick is
+    different KFs of the same three, so every cover ties on weight, and
+    the three covers needing one KF win on the unmet count. A target's
+    first supplier in pool order needs p0, so the greedy pick is
     already the winner, as it is on nearly every benchmark call, and the
     search has to prove it among 3 ** 8 equal-weight covers."""
     rng = random.Random(2026)
@@ -182,13 +181,13 @@ def gate_pools() -> list[tuple[int, list[int], list[int], list[int], list[int]]]
     for _ in range(GATE_POOLS):
         n = 3 * GATE_TARGETS
         position = rng.sample(range(n), n)
-        masks, needs = [0] * n, [0] * n
+        masks, needs = [0] * n, [frozenset()] * n
         for target in range(GATE_TARGETS):
             first, *others = sorted(position[3 * target : 3 * target + 3])
             for i, b in zip([first, *rng.sample(others, 2)], range(3)):
                 masks[i] = 1 << target
-                needs[i] = 1 << (GATE_TARGETS + b)
-        winner = sorted(i for i in range(n) if needs[i] == 1 << GATE_TARGETS)
+                needs[i] = frozenset({f"p{b}"})
+        winner = sorted(i for i in range(n) if needs[i] == {"p0"})
         pools.append(((1 << GATE_TARGETS) - 1, masks, [1] * n, needs, winner))
     return pools
 

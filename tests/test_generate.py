@@ -28,6 +28,12 @@ from oracles import closure_by_rescan
         dict(seed=1, lq_count=3, kf_count=100_001),
         # a flavor's value is not a flavor
         dict(seed=1, lq_count=3, kf_count=5, flavor="feasible"),
+        # a seed or count that is not an int, or is a bool
+        dict(seed=1, lq_count=2.5, kf_count=4),
+        dict(seed=1, lq_count=3, kf_count=4.0),
+        dict(seed=1, lq_count="5", kf_count=4),
+        dict(seed=True, lq_count=3, kf_count=5),
+        dict(seed=1, lq_count=True, kf_count=5),
     ],
 )
 def test_spec_invalid(kwargs):

@@ -18,6 +18,11 @@ stderr of every such run with the run on the instance as generated:
 - every duration and cost times 7 gives the same bytes but for both
   totals, which are 7 times as large.
 
+Dictionaries drawn by hypothesis from the conftest strategies (up to
+eight units over seven KFs, with drawn known and target sets, zero
+weights and shared objectives) are held to the first three relations
+too, in the same twelve runs each.
+
 Scaling fails where some unit weighs 0, so those instances run under a
 strict xfail: greedy counts a zero weight as 1, so scaling moves a pick
 whenever greedy takes a zero-weight unit that the rest of its pick
@@ -34,9 +39,20 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import profiles, small_dictionaries
 from lqplan.generate import Flavor, GenSpec, generate
-from lqplan.model import LearnerProfile, LearnerQuantum, LQCloud, LQDictionary, closure_over, serialize_dictionary
+from lqplan.model import (
+    LearnerProfile,
+    LearnerQuantum,
+    LQCloud,
+    LQDictionary,
+    closure_over,
+    serialize_dictionary,
+    validate_dictionary,
+)
 from test_golden_cli import plan_json_cases, run_case
 
 SEEDS = range(10)
@@ -115,6 +131,20 @@ def renamed(dictionary: LQDictionary, profile: LearnerProfile, to: dict[str, str
     return replace(dictionary, quanta=quanta, clouds=clouds), LearnerProfile(kfs(profile.known), kfs(profile.target))
 
 
+def renamed_runs_mapped_back(dict_dir: Path, name: str, dictionary: LQDictionary,
+                             profile: LearnerProfile) -> dict[str, tuple]:
+    """``run_plans`` on the renamed instance, with the names in its output
+    mapped back."""
+    to = renaming(dictionary, profile)
+    back = {new: old for old, new in to.items()}
+
+    def unmap(text: str) -> str:
+        return RENAMED.sub(lambda m: back[m.group()], text)
+
+    runs = run_plans(dict_dir, name, *renamed(dictionary, profile, to))
+    return {case: (code, unmap(out), unmap(err)) for case, (code, out, err) in runs.items()}
+
+
 @pytest.fixture(scope="module")
 def as_generated(generated, tmp_path_factory) -> dict[str, dict[str, tuple]]:
     dict_dir = tmp_path_factory.mktemp("generated")
@@ -133,15 +163,22 @@ def test_same_bytes(generated, as_generated, tmp_path, relation):
 
 def test_renamed_gives_same_bytes_mapped_back(generated, as_generated, tmp_path):
     for name, instance in generated.items():
-        to = renaming(*instance)
-        back = {new: old for old, new in to.items()}
+        assert renamed_runs_mapped_back(tmp_path, name, *instance) == as_generated[name], name
 
-        def unmap(text: str) -> str:
-            return RENAMED.sub(lambda m: back[m.group()], text)
 
-        runs = run_plans(tmp_path, name, *renamed(*instance, to))
-        mapped = {case: (code, unmap(out), unmap(err)) for case, (code, out, err) in runs.items()}
-        assert mapped == as_generated[name], name
+@pytest.fixture(scope="module")
+def drawn_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("drawn")
+
+
+@given(small_dictionaries(max_quanta=8), profiles(), st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_drawn_instances_keep_their_bytes(drawn_dir, dictionary, profile, rng):
+    assert not [f for f in validate_dictionary(dictionary) if f.severity == "error"]
+    as_drawn = run_plans(drawn_dir, "drawn", dictionary, profile)
+    for relation in (permuted, with_noise):
+        assert run_plans(drawn_dir, "drawn", *relation(dictionary, profile, rng)) == as_drawn, relation.__name__
+    assert renamed_runs_mapped_back(drawn_dir, "drawn", dictionary, profile) == as_drawn
 
 
 def test_a_known_kf_of_the_closure_never_makes_stage_0(generated, as_generated, tmp_path):

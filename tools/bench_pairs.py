@@ -9,7 +9,11 @@ parent first on even k and the change first on odd k. Both trees must
 hold the same BENCHMARK.json. Each run is recorded with its side, seed,
 order in the pair, wall seconds, exit code and every stdout line, with
 the stamp, digest and final JSON line parsed out. Each side records its
-``git rev-parse HEAD`` and whether its working tree differs from it.
+``git rev-parse HEAD``, whether its working tree differs from it, and
+the sorted distinct ``source_sha256`` values of its runs' stamps: the
+digest of the source it actually ran, which the stamp's commit does not
+name for an uncommitted change. A side that ran more than one source
+gets a warning on stderr.
 
 For every workload and end-to-end metric the summary holds each side's
 values, median and interquartile range, the pairs the change wins
@@ -51,6 +55,11 @@ def git_side(tree: Path) -> dict:
 
     status = git("status", "--porcelain", "--untracked-files=no")
     return {"head": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
+
+
+def source_digests(runs: list[dict], side: str) -> list[str]:
+    """The distinct source digests stamped by one side's runs, sorted."""
+    return sorted({run["stamp"]["source_sha256"] for run in runs if run["side"] == side and run.get("stamp")})
 
 
 def parse_stdout(lines: list[str]) -> dict:
@@ -179,13 +188,18 @@ def main(argv: list[str] | None = None) -> int:
     document = {
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "size": args.size, "trace": 0,
                      "command": spec["command"]},
-        "sides": {side: git_side(tree) for side, tree in trees.items()},
+        "sides": {side: {**git_side(tree), "source_sha256": source_digests(runs, side)}
+                  for side, tree in trees.items()},
         "runs": runs,
         "summary": summary,
         "worse_than_bound": worse,
         "digests_differ": moved,
     }
     args.out.write_text(json.dumps(document, indent=1) + "\n")
+    for side, facts in document["sides"].items():
+        if len(facts["source_sha256"]) > 1:
+            print(f"bench_pairs: warning: the {side} side ran {len(facts['source_sha256'])} different sources",
+                  file=sys.stderr)
     failed = [r for r in runs if r["exit_code"] != 0 or r["result"] is None]
     differ = [f"{w} seed {', '.join(map(str, seeds))}" for w, seeds in moved.items() if seeds]
     print(f"bench_pairs: {len(runs)} runs, {len(failed)} failed; worse than bound: {', '.join(worse) or 'none'}; "
