@@ -8,6 +8,7 @@ import json
 import sys
 from pathlib import Path
 
+# backward_resolve, build_digraph, topo_schedule: unused, patched by perfbench/spans.py (ROADMAP item 5 step 3)
 from .cover import (
     CoverConfig,
     CoverMode,
@@ -39,6 +40,7 @@ from .sequence import (
     PrereqDigraph,
     build_digraph,
     digraph_to_dot,
+    plan_query,
     topo_schedule,
 )
 
@@ -145,9 +147,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         mode=CoverMode(args.mode),
         reuse_acquired_objectives=not args.strict_residual,
     )
-    trace = backward_resolve(profile, dictionary, scope=args.cloud, config=config)
-    graph = build_digraph(trace.solution, dictionary, profile)
-    plan = topo_schedule(graph, dictionary)
+    trace, graph, plan = plan_query(profile, dictionary, args.cloud, config)
     if args.format == "json":
         print(json.dumps(_plan_doc(config, dictionary, profile, trace, graph, plan), indent=2))
     elif args.format == "dot":

@@ -294,6 +294,11 @@ def _is_repeat(seen: set, value: object) -> bool:
     return repeat
 
 
+def _past_digit_limit(total: int) -> bool:
+    """Whether ``str`` refuses ``total`` under the interpreter's digit limit (none at 0 or if absent)."""
+    return 0 < (limit := getattr(sys, "get_int_max_str_digits", int)()) and total >= 10**limit
+
+
 def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> list[Finding]:
     """Check semantic rules and return findings, worst problems as errors.
 
@@ -301,7 +306,7 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
       - the subject and titles are strings free of lone surrogates
       - ids and KFs are non-empty whitespace-free tokens, free of lone surrogates
       - every LQ has at least one objective
-      - durations and costs are non-negative integers
+      - durations and costs are non-negative integers whose column totals ``str`` can print
       - an LQ does not list a KF as both prerequisite and objective
         (a warning normally, an error under ``strict``)
       - LQ ids are unique; cloud names are unique
@@ -316,6 +321,7 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
     if fault := _text_fault(dictionary.subject):
         findings.append(Finding("error", "bad-subject", _named(dictionary.subject), f"subject {fault}"))
     seen_ids: set = set()
+    totals = dict.fromkeys(("duration_minutes", "cost"), 0)
     for q in dictionary.quanta:
         if fault := _token_fault(q.id):
             findings.append(Finding("error", "bad-id", _named(q.id), f"id {fault}"))
@@ -339,6 +345,8 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
                 findings.append(
                     Finding("error", code, q.id, f"{attr} must be a non-negative integer, got {value!r}")
                 )
+            else:
+                totals[attr] += value
         overlap = q.prerequisites & q.objectives
         if overlap:
             severity = "error" if strict else "warning"
@@ -347,6 +355,9 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
                 Finding(severity, "prereq-objective-overlap", q.id,
                         f"listed as both prerequisite and objective: {listed}")
             )
+    for attr, total in totals.items():
+        if _past_digit_limit(total):
+            findings.append(Finding("error", "long-total", attr, "the sum over all units has too many digits"))
     seen_clouds: set = set()
     for c in dictionary.clouds:
         if fault := _token_fault(c.name):
@@ -556,9 +567,9 @@ def load_dictionary(source: Source) -> LQDictionary:
     """Parse and fully validate a dictionary, raising on the first error.
 
     The parser enforces every rule on a single value, with the collector
-    paused. A quick pass over ``by_id``, which queries read next anyway,
-    looks for a break of the rules relating entries; only if it finds one
-    does the load run ``validate_dictionary`` and raise its first error.
+    paused. A quick pass (over ``by_id``, which queries read next anyway,
+    and one sum of both weight columns) looks for a break of the rules
+    relating entries; only then does ``validate_dictionary`` run.
 
     Warnings (for example prerequisite/objective overlap) do not block
     loading; use ``validate_dictionary`` directly to inspect them.
@@ -569,6 +580,7 @@ def load_dictionary(source: Source) -> LQDictionary:
         len(ids) < len(dictionary.quanta)
         or not all(q.objectives for q in dictionary.quanta)
         or not all(c.member_ids <= ids for c in dictionary.clouds)
+        or _past_digit_limit(sum(q.duration_minutes + q.cost for q in dictionary.quanta))
     ):
         for finding in validate_dictionary(dictionary):
             if finding.severity == "error":

@@ -5,6 +5,7 @@ an order. Quanta become nodes, "you supply a KF I still need" becomes an
 edge, and Kahn layering turns the digraph into stages whose members can
 be taken in parallel. A forward simulation replays the staged plan
 against the learner profile as an independent soundness check.
+``plan_query`` runs the whole path, from a profile to a staged plan.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import cover
 from .model import (
     KFSet, LQDictionary, LQPlanError, LearnerProfile, MinimalityMetric, _positions_by_kf, total_weight,
 )
@@ -163,6 +165,20 @@ def topo_schedule(graph: PrereqDigraph, dictionary: LQDictionary) -> Plan:
         total_duration_minutes=total_weight(quanta, MinimalityMetric.DURATION),
         total_cost=total_weight(quanta, MinimalityMetric.COST),
     )
+
+
+def plan_query(
+    profile: LearnerProfile,
+    dictionary: LQDictionary,
+    scope: str | None = None,
+    config: cover.CoverConfig = cover.CoverConfig(),
+) -> tuple[cover.SolutionTrace, PrereqDigraph, Plan]:
+    """Resolve, build the digraph and stage: the one path from a query to a
+    plan. Each step is looked up at call time, so a patched step is the
+    one that runs."""
+    trace = cover.backward_resolve(profile, dictionary, scope, config)
+    graph = build_digraph(trace.solution, dictionary, profile)
+    return trace, graph, topo_schedule(graph, dictionary)
 
 
 def simulate_plan(

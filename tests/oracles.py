@@ -269,6 +269,7 @@ def validate_two_pass(dictionary: LQDictionary, *, strict: bool = False) -> list
     subject = dictionary.subject
     _check_text(findings, "bad-subject", subject if isinstance(subject, str) else repr(subject), subject, "subject")
     seen_ids: set[str] = set()
+    totals = {"duration_minutes": 0, "cost": 0}
     for q in dictionary.quanta:
         _check_token(findings, "bad-id", q.id if isinstance(q.id, str) else repr(q.id), q.id, "id")
         if q.id in seen_ids:
@@ -285,6 +286,8 @@ def validate_two_pass(dictionary: LQDictionary, *, strict: bool = False) -> list
                 findings.append(
                     Finding("error", code, q.id, f"{attr} must be a non-negative integer, got {value!r}")
                 )
+            else:
+                totals[attr] += value
         overlap = q.prerequisites & q.objectives
         if overlap:
             severity = "error" if strict else "warning"
@@ -293,6 +296,11 @@ def validate_two_pass(dictionary: LQDictionary, *, strict: bool = False) -> list
                 Finding(severity, "prereq-objective-overlap", q.id,
                         f"listed as both prerequisite and objective: {listed}")
             )
+    for attr, total in totals.items():
+        try:
+            str(total)  # the plan's totals are printed
+        except ValueError:
+            findings.append(Finding("error", "long-total", attr, "the sum over all units has too many digits"))
     seen_clouds: set[str] = set()
     for c in dictionary.clouds:
         _check_token(findings, "bad-cloud-name", c.name, c.name, "cloud name")

@@ -33,7 +33,7 @@ from lqplan.model import (
     serialize_dictionary,
     total_weight,
 )
-from lqplan.sequence import CycleDetected, build_digraph, simulate_plan, topo_schedule
+from lqplan.sequence import CycleDetected, build_digraph, plan_query, simulate_plan, topo_schedule
 from oracles import best_reachable_subset, min_cover_weight
 
 FEASIBLE_COUNT = 500
@@ -66,9 +66,7 @@ def test_criterion_1_feasible_oracle_suite(feasible_instances, capsys):
     for seed, dictionary, profile in feasible_instances:
         for mode in (CoverMode.EXACT, CoverMode.GREEDY):
             try:
-                trace = backward_resolve(profile, dictionary, config=CoverConfig(mode=mode))
-                graph = build_digraph(trace.solution, dictionary, profile)
-                plan = topo_schedule(graph, dictionary)
+                _trace, _graph, plan = plan_query(profile, dictionary, config=CoverConfig(mode=mode))
                 verdict = simulate_plan(plan, dictionary, profile)
             except LQPlanError as exc:
                 failures.append((seed, mode.value, repr(exc)))
@@ -214,9 +212,7 @@ def test_criterion_6_digraph_topo_invariants(
 ):
     violations = []
     for seed, dictionary, profile in feasible_instances:
-        trace = backward_resolve(profile, dictionary)
-        graph = build_digraph(trace.solution, dictionary, profile)
-        plan = topo_schedule(graph, dictionary)
+        _trace, graph, plan = plan_query(profile, dictionary)
         if not simulate_plan(plan, dictionary, profile).ok:
             violations.append((seed, "simulation"))
             continue
@@ -343,11 +339,7 @@ def test_criterion_8_scale_smoke(capsys):
     profile = LearnerProfile(known=generated_profile.known, target=frozenset(attainable[::8]))
     assert len(profile.target) > 50
     start = time.perf_counter()
-    trace = backward_resolve(
-        profile, dictionary, config=CoverConfig(mode=CoverMode.GREEDY)
-    )
-    graph = build_digraph(trace.solution, dictionary, profile)
-    plan = topo_schedule(graph, dictionary)
+    _trace, _graph, plan = plan_query(profile, dictionary, config=CoverConfig(mode=CoverMode.GREEDY))
     verdict = simulate_plan(plan, dictionary, profile)
     elapsed = time.perf_counter() - start
     ok = verdict.ok and elapsed < 2.0

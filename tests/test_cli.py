@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lqplan import cli
+from lqplan import cli, cover, sequence
 from lqplan.cover import MAX_EXACT_CANDIDATES
 from lqplan.model import LearnerProfile, LearnerQuantum, LQCloud, LQDictionary, serialize_dictionary
 
@@ -108,6 +108,31 @@ class TestValidate:
         assert "invalid input" in result.stderr
         assert "Traceback" not in result.stderr
         assert "set_int_max_str_digits" not in result.stderr
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no integer digit limit"
+    )
+    def test_totals_past_digit_limit_are_invalid_input(self, capsys, write_dict):
+        # every cost parses, but two of the longest would total one digit
+        # more than a plan can print
+        longest = 10 ** sys.get_int_max_str_digits() - 1
+        units = [LearnerQuantum("A", "t", (), {"a"}, cost=longest), LearnerQuantum("B", "t", (), {"b"})]
+        fits = str(write_dict(LQDictionary("s", units), "fits.json"))
+        past = str(write_dict(LQDictionary("s", [units[0], replace(units[1], cost=longest)]), "long.json"))
+        for mode in ("greedy", "exact"):
+            for fmt in ("text", "json"):
+                query = ("plan", "--target", "a,b", "--mode", mode, "--format", fmt)
+                code, out, err = run_cli(capsys, *query, "--dict", fits)
+                assert (code, err) == (0, "")
+                assert str(longest) in out
+                code, out, err = run_cli(capsys, *query, "--dict", past)
+                assert (code, out) == (2, "")
+                assert err == "lqplan: invalid input: cost: the sum over all units has too many digits\n"
+        for argv in (("graph", "--target", "a"), ("counsel", "--lq", "A")):
+            assert run_cli(capsys, *argv, "--dict", past)[:2] == (2, "")
+        assert run_cli(capsys, "validate", fits)[0] == 0
+        code, out, _ = run_cli(capsys, "validate", past)
+        assert (code, out) == (2, "error: long-total: cost: the sum over all units has too many digits\n")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.json"))
@@ -297,14 +322,19 @@ class TestPlan:
         assert code == 4
         assert "non-empty" in err
 
-    def test_internal_error_exits_5(self, capsys, monkeypatch, d1_file):
-        # a bug inside the planner must not pass for a usage error (4) or
-        # for an infeasible query (1)
+    @pytest.mark.parametrize(
+        "module, step",
+        [(cover, "backward_resolve"), (sequence, "build_digraph"), (sequence, "topo_schedule")],
+        ids=["backward_resolve", "build_digraph", "topo_schedule"],
+    )
+    def test_internal_error_exits_5(self, capsys, monkeypatch, d1_file, module, step):
+        # a bug in any step of the planner must not pass for a usage error
+        # (4) or for an infeasible query (1)
         def broken(*args, **kwargs):
             raise KeyError("k3")
 
-        monkeypatch.setattr(cli, "backward_resolve", broken)
-        code, out, err = run_cli(capsys, "plan", "--dict", d1_file, "--target", "k3")
+        monkeypatch.setattr(module, step, broken)
+        code, out, err = run_cli(capsys, "plan", "--dict", d1_file, "--known", "k1", "--target", "k3")
         assert code == 5
         assert out == ""
         assert err == "lqplan: internal error: KeyError: 'k3'\n"

@@ -12,7 +12,7 @@ from lqplan.model import (
     serialize_profile,
     validate_dictionary,
 )
-from lqplan.sequence import CycleDetected, build_digraph, simulate_plan, topo_schedule
+from lqplan.sequence import CycleDetected, plan_query, simulate_plan
 from oracles import closure_by_rescan
 
 
@@ -106,8 +106,7 @@ def test_adversarial_outcomes_are_all_legitimate():
         )
         config = CoverConfig(metric=MinimalityMetric.COST)
         try:
-            trace = backward_resolve(profile, dictionary, config=config)
-            plan = topo_schedule(build_digraph(trace.solution, dictionary, profile), dictionary)
+            _trace, _graph, plan = plan_query(profile, dictionary, config=config)
         except Infeasible:
             outcomes.add("infeasible")
             continue

@@ -46,7 +46,7 @@ from lqplan.model import (
     serialize_dictionary,
     validate_dictionary,
 )
-from lqplan.sequence import CycleDetected, build_digraph, simulate_plan, topo_schedule
+from lqplan.sequence import CycleDetected, build_digraph, plan_query, simulate_plan, topo_schedule
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -229,8 +229,7 @@ def test_golden_plans_can_be_followed():
             for mode, metric, reuse in product(CoverMode, MinimalityMetric, (True, False)):
                 config = CoverConfig(metric, mode, reuse)
                 try:
-                    trace = backward_resolve(profile, dictionary, cloud, config)
-                    plan = topo_schedule(build_digraph(trace.solution, dictionary, profile), dictionary)
+                    _trace, _graph, plan = plan_query(profile, dictionary, cloud, config)
                 except LQPlanError:
                     continue
                 verdict = simulate_plan(plan, dictionary, profile)

@@ -42,7 +42,7 @@ import pytest
 from lqplan.cover import CoverConfig, CoverMode, Infeasible, backward_resolve
 from lqplan.generate import Flavor, GenSpec, generate
 from lqplan.model import LearnerProfile, LQDictionary, closure_over, serialize_dictionary
-from lqplan.sequence import build_digraph, simulate_plan, topo_schedule
+from lqplan.sequence import plan_query, simulate_plan
 from test_golden_cli import _csv, corpus_diff, digest, plan_json_cases, run_case, write_golden
 
 GOLDEN = Path(__file__).with_name("golden_scale.json")
@@ -122,9 +122,7 @@ def broad_path_seconds(units: int, mode: CoverMode) -> float:
     dictionary, generated = instance(Flavor.FEASIBLE, units)
     profile = broad_profile(dictionary, generated)
     start = time.perf_counter()
-    trace = backward_resolve(profile, dictionary, config=CoverConfig(mode=mode))
-    graph = build_digraph(trace.solution, dictionary, profile)
-    plan = topo_schedule(graph, dictionary)
+    _trace, _graph, plan = plan_query(profile, dictionary, config=CoverConfig(mode=mode))
     verdict = simulate_plan(plan, dictionary, profile)
     elapsed = time.perf_counter() - start
     assert verdict.ok

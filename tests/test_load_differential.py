@@ -13,6 +13,7 @@ same content built in code, where bad tokens get past the parser.
 from __future__ import annotations
 
 import json
+import sys
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -36,6 +37,8 @@ from test_cli_fuzz import mutated_files, rarely
 IDS = ("A", "B", "C", "D", "A\n", "a b", "A\udc00")
 GOOD_KFS = ("k1", "k2", "k3", "k4", "k5")
 BAD_KFS = ("k 1", "k1\n", "", " k2", "\tk3", "k\ud800", 7, 10, None, True, ["k1"], {"k": 1})
+# the longest integer the parser accepts (0 where the interpreter sets no digit limit)
+LONGEST = 10 ** getattr(sys, "get_int_max_str_digits", int)() - 1
 
 
 @st.composite
@@ -172,6 +175,10 @@ def unit(**fields: object) -> dict:
 @example(data=after_valid(clouds={"c1": ["U0"], "c 3": ["U1"]}))
 # a repeated member is matched once, within the bound
 @example(data=after_valid(clouds={"c1": ["U0", "U0"]}))
+# every value parses, but both columns sum past the digit limit; built in
+# code, a float cost joins no total
+@example(data=after_valid(*(unit(id=lq_id, duration_minutes=LONGEST, cost=LONGEST) for lq_id in "YZ")))
+@example(data=after_valid(unit(cost=LONGEST), unit(id="Y", cost=1.0)))
 @settings(max_examples=300, deadline=None)
 def test_load_and_validate_match_two_pass_oracle(data):
     check_against_oracle(data)
