@@ -27,6 +27,7 @@ from .model import (
     SchemaError,
     UnknownCloud,
     UnknownLQ,
+    _collector_paused,
     _token_fault,
     load_dictionary,
     parse_dictionary,
@@ -255,30 +256,31 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
-    except _UsageError as exc:
-        print(f"lqplan: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, SchemaError) as exc:
-        print(f"lqplan: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except Infeasible as exc:
-        print(f"lqplan: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except CycleDetected as exc:
-        print(f"lqplan: {exc}", file=sys.stderr)
-        return EXIT_CYCLE
-    except (ExactTooLarge, SpecInvalid, UnknownCloud, UnknownLQ) as exc:
-        print(f"lqplan: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _Unreadable as exc:
-        print(f"lqplan: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, UnicodeEncodeError) as exc:  # a closed pipe, or a stdout that cannot encode a path
-        print(f"lqplan: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except Exception as exc:  # a bug, not a verdict on the input: keep it off exits 1-4
-        print(f"lqplan: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    with _collector_paused():  # one command makes no garbage cycle worth a pass over its dictionary
+        try:
+            args = parser.parse_args(argv)
+            return args.handler(args)
+        except _UsageError as exc:
+            print(f"lqplan: usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (ParseError, SchemaError) as exc:
+            print(f"lqplan: invalid input: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        except Infeasible as exc:
+            print(f"lqplan: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        except CycleDetected as exc:
+            print(f"lqplan: {exc}", file=sys.stderr)
+            return EXIT_CYCLE
+        except (ExactTooLarge, SpecInvalid, UnknownCloud, UnknownLQ) as exc:
+            print(f"lqplan: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except _Unreadable as exc:
+            print(f"lqplan: cannot read input: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        except (OSError, UnicodeEncodeError) as exc:  # a closed pipe, or a stdout that cannot encode a path
+            print(f"lqplan: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        except Exception as exc:  # a bug, not a verdict on the input: keep it off exits 1-4
+            print(f"lqplan: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL

@@ -14,12 +14,14 @@ import gc
 import json
 import re
 import sys
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
-from typing import IO, Callable, Iterable, Union
+from typing import IO, Callable, Iterable, Iterator, Union
 
 KFSet = frozenset[str]
 
@@ -90,7 +92,7 @@ def total_weight(quanta: Iterable["LearnerQuantum"], metric: MinimalityMetric) -
     return sum(map(metric.weight, quanta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LearnerQuantum:
     """One unit of study material.
 
@@ -98,6 +100,9 @@ class LearnerQuantum:
     unit; ``objectives`` are the KFs the unit delivers. Durations are in
     minutes, costs in whole currency units; both default to zero, meaning
     "free" under the corresponding metric.
+
+    Units are slotted: they have no ``__dict__``, so ``vars(unit)``
+    raises ``TypeError``; ``dataclasses.asdict`` and ``replace`` work.
     """
 
     id: str
@@ -477,6 +482,11 @@ def _bulk_accept(entries: list, clouds: object) -> tuple[list[LearnerQuantum], l
     cloud name and per distinct cloud member, one surrogate search over
     all titles and the least count. None means some entry or cloud is
     faulty, and the caller walks the file to name the first fault.
+
+    The units are built by column, without calling the constructor once
+    per unit: each field's slot descriptor stores a whole column past the
+    frozen ``__setattr__``, the KF lists turned into frozensets as
+    ``__post_init__`` would.
     """
     if (
         not set(map(type, entries)) <= {dict}
@@ -503,9 +513,29 @@ def _bulk_accept(entries: list, clouds: object) -> tuple[list[LearnerQuantum], l
         and not _SURROGATE_RE.search("".join(titles))
         and all(map(_TOKEN_RE.fullmatch, chain(ids, kfs, clouds, members)))
     ):
-        quanta = list(map(LearnerQuantum, ids, titles, prerequisites, objectives, durations, costs))
+        quanta = list(map(object.__new__, repeat(LearnerQuantum, len(entries))))
+        columns = (ids, titles, map(frozenset, prerequisites), map(frozenset, objectives), durations, costs)
+        for name, column in zip(LearnerQuantum.__slots__, columns):  # the fields, in constructor order
+            deque(map(getattr(LearnerQuantum, name).__set__, quanta, column), 0)
         return quanta, list(map(LQCloud, clouds, clouds.values()))
     return None
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, if it was
+    running, and restore it even when the block raises.
+
+    ``gc.freeze`` is not used, because it would also move the caller's
+    objects out of reach of collection.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def parse_dictionary(source: Source) -> LQDictionary:
@@ -521,15 +551,13 @@ def parse_dictionary(source: Source) -> LQDictionary:
     ``validate_dictionary``, so a validation front end can list them all.
 
     The cyclic garbage collector is paused while the file is decoded and
-    checked, if it was running, and restored even when the parse raises:
-    the parse builds tens of thousands of objects and no reference cycle
-    among them, so a collection in the middle would walk them and free
-    nothing. ``gc.freeze`` is not used, because it would also move the
-    caller's objects out of reach of collection.
+    checked (``_collector_paused``): the parse builds tens of thousands of
+    objects and no reference cycle among them, so a collection in the
+    middle would walk them and free nothing. The passes the pause skips
+    come due as soon as it ends, over the new dictionary, so the CLI
+    pauses the collector for its whole command as well.
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         doc = _require_object(_parse_json(source), "$", _TOP_LEVEL_KEYS)
         subject = _require_str(doc, "$", "subject")
         if "quanta" not in doc:
@@ -558,9 +586,6 @@ def parse_dictionary(source: Source) -> LQDictionary:
                 raise SchemaError(where, f"expected a list, got {type(members).__name__}")
             _tokens(members, where)
         raise AssertionError("the bulk accept refused a file the fault walk finds no fault in")
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def load_dictionary(source: Source) -> LQDictionary:

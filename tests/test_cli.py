@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -436,6 +437,48 @@ class TestGen:
         assert (code, out) == (2, "")
         assert err.startswith("lqplan: cannot write output: [Errno 2] ")
         assert err.endswith(f"'{prefix}.dict.json'\n")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["validate", "{dict}"], 0),
+        (["plan", "--dict", "{dict}", "--target", "k3"], 1),
+        (["validate", "{bad}"], 2),
+        (["plan", "--dict", "{dict}", "--target", ""], 4),
+        (["validate", "{broken}"], 5),
+    ],
+    ids=["ok", "infeasible", "invalid", "usage", "internal"],
+)
+def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch, tmp_path, d1_file, collecting, argv,
+                                                   expected):
+    # every handler reads its input first, so the read sees the collector as the whole command does
+    seen = []
+    read = cli._read
+
+    def spying_read(path):
+        seen.append(gc.isenabled())
+        return read(path)
+
+    def broken(*args, **kwargs):
+        raise KeyError("k3")
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    monkeypatch.setattr(cli, "_read", spying_read)
+    if "{broken}" in argv:
+        monkeypatch.setattr(cli, "validate_dictionary", broken)
+    paths = {"{dict}": d1_file, "{bad}": str(bad), "{broken}": d1_file}
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        code, _, _ = run_cli(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert code == expected
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class _BrokenPipe(io.StringIO):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
+import pickle
 import random
 from unittest import mock
 
@@ -289,6 +291,29 @@ def test_load_pauses_the_collector_and_restores_it(parse, collecting, data, erro
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "source",
+    [lambda: D1_JSON, lambda: serialize_dictionary(generate(GenSpec(seed=7, lq_count=1000, kf_count=800))[0])],
+    ids=["d1", "generated-1k"],
+)
+def test_units_built_in_bulk_match_the_constructor(source):
+    # _bulk_accept sets each field's column without calling the constructor
+    data = source()
+    units = parse_dictionary(data).quanta
+    assert len(units) == len(json.loads(data)["quanta"])
+    for q in units:
+        built = LearnerQuantum(
+            q.id, q.title, sorted(q.prerequisites), set(q.objectives), q.duration_minutes, q.cost
+        )
+        assert (q, hash(q), repr(q)) == (built, hash(built), repr(built))
+        assert type(q.prerequisites) is frozenset and type(q.objectives) is frozenset
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.title = "changed"
+        assert dataclasses.replace(q) == q
+        assert pickle.loads(pickle.dumps(q)) == q
+        assert not hasattr(q, "__dict__")
 
 
 def test_overlap_is_warning_unless_strict():
