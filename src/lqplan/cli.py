@@ -212,10 +212,13 @@ def _build_parser() -> _Parser:
     p_validate.add_argument("--strict", action="store_true", help="treat overlap warnings as errors")
     p_validate.set_defaults(handler=_cmd_validate)
 
-    p_plan = sub.add_parser("plan", help="resolve targets into a staged study plan")
-    p_plan.add_argument("--dict", required=True)
-    p_plan.add_argument("--known", default="", help="comma-separated KFs already held")
-    p_plan.add_argument("--target", required=True, help="comma-separated KFs to reach")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--dict", required=True, help="dictionary file (JSON)")
+    source.add_argument("--known", default="", help="comma-separated KFs already held")
+    goal = argparse.ArgumentParser(add_help=False)
+    goal.add_argument("--target", required=True, help="comma-separated KFs to reach")
+
+    p_plan = sub.add_parser("plan", help="resolve targets into a staged study plan", parents=[source, goal])
     p_plan.add_argument("--cloud", default=None, help="restrict candidates to one cloud")
     config = CoverConfig()
     p_plan.add_argument("--metric", choices=[m.value for m in MinimalityMetric], default=config.metric.value)
@@ -228,17 +231,13 @@ def _build_parser() -> _Parser:
     p_plan.add_argument("--format", choices=["text", "json", "dot"], default="text")
     p_plan.set_defaults(handler=_cmd_plan)
 
-    p_counsel = sub.add_parser("counsel", help="report the prerequisite gap for one quantum")
-    p_counsel.add_argument("--dict", required=True)
-    p_counsel.add_argument("--known", default="")
+    p_counsel = sub.add_parser("counsel", help="report the prerequisite gap for one quantum", parents=[source])
     p_counsel.add_argument("--lq", required=True)
     p_counsel.add_argument("--format", choices=["text", "json"], default="text")
     p_counsel.set_defaults(handler=_cmd_counsel)
 
-    p_graph = sub.add_parser("graph", help="plan with defaults and emit the prerequisite digraph")
-    p_graph.add_argument("--dict", required=True)
-    p_graph.add_argument("--known", default="")
-    p_graph.add_argument("--target", required=True)
+    p_graph = sub.add_parser("graph", parents=[source, goal],
+                             help="plan with defaults and emit the prerequisite digraph")
     p_graph.add_argument("--format", choices=["dot"], default="dot")
     plan_defaults = {key: p_plan.get_default(key) for key in ("cloud", "metric", "mode", "strict_residual")}
     p_graph.set_defaults(handler=_cmd_plan, **plan_defaults)

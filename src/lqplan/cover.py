@@ -390,13 +390,13 @@ def backward_resolve(
 
     Round 1 covers the targets the learner does not hold. Each later
     round covers the previous round's residual prerequisites, drawing only
-    on quanta not yet selected. The loop ends when a residual comes up
-    empty. A target no sequence of the scope's quanta reaches from the
-    known set ends in ``Infeasible`` at stage 0. Closure is monotone in the
-    set of quanta, so a selection whose closure holds the targets proves
-    them reachable; only when that proof fails (a round raised, or the
-    selected quanta form a cycle) does the closure run on the targets'
-    backward cone.
+    on quanta not yet selected, until a residual comes up empty. Closure
+    is monotone in the set of quanta, so a selection whose closure holds
+    the targets proves them reachable. Only if that proof fails (a round
+    raised, or the selection forms a cycle) does the closure run on the
+    targets' backward cone, and a target it misses ends in ``Infeasible``
+    at stage 0. Otherwise a round without a cover ends in ``Infeasible``
+    at its own stage, and ``ExactTooLarge`` passes through.
     """
     if not profile.target:
         raise ValueError("planning query requires a non-empty target set")
@@ -410,16 +410,14 @@ def backward_resolve(
     held = set(profile.known)  # grows by each round's gains in reuse mode
     selected_ids: set[str] = set()
     iterations: list[IterationRecord] = []
+    failure: LQPlanError | None = None
     try:
         while wanted:
             # the round's pool: every quantum delivering a wanted KF, in scope
             # order, less those whose id is already selected
             offered = {i for kf in wanted for i in suppliers.get(kf, ())}
             pool = [candidates[i] for i in sorted(offered) if candidates[i].id not in selected_ids]
-            try:
-                picked = minimal_cover(wanted, pool, held, config)
-            except NoCover as exc:
-                raise Infeasible(len(iterations) + 1, exc.uncovered) from exc
+            picked = minimal_cover(wanted, pool, held, config)
             prereq_union = frozenset().union(*(by_id[lq_id].prerequisites for lq_id in picked))
             if config.reuse_acquired_objectives:
                 # a unit never counts toward its own prerequisites
@@ -428,15 +426,17 @@ def backward_resolve(
             iterations.append(IterationRecord(frozenset(picked), prereq_union, residual))
             selected_ids |= picked
             wanted = residual
-    except LQPlanError:
-        if unreachable := _unreachable(candidates, goal, profile.known):
-            raise Infeasible(0, unreachable) from None
-        raise
+    except LQPlanError as exc:  # NoCover or ExactTooLarge
+        failure = exc
     trace = SolutionTrace(tuple(iterations))
     # in study order, last round first, so closure_over's sweep fires most units as it meets them
-    if not goal <= closure_over(profile.known, map(by_id.__getitem__, reversed(trace.solution))):
+    if failure or not goal <= closure_over(profile.known, map(by_id.__getitem__, reversed(trace.solution))):
         if unreachable := _unreachable(candidates, goal, profile.known):
             raise Infeasible(0, unreachable)
+    if isinstance(failure, NoCover):
+        raise Infeasible(len(iterations) + 1, failure.uncovered) from failure
+    if failure:
+        raise failure
     return trace
 
 

@@ -88,12 +88,10 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
         orphan = kfs.pop()
 
     trap_kfs: list[str] = []
-    trap_quanta = 0
     if spec.flavor is Flavor.ADVERSARIAL and len(kfs) >= 5 and spec.lq_count >= 3:
-        # Reserve two KFs for a mutual-dependency pair appended at the
-        # end; smaller requests degrade to plain feasible generation.
+        # Reserve two KFs for a mutual-dependency pair of units, one per KF,
+        # appended at the end; smaller requests degrade to plain feasible generation.
         trap_kfs = [kfs.pop(), kfs.pop()]
-        trap_quanta = 2
 
     known_count = rng.randint(1, max(1, len(kfs) // 4))
     known = kfs[:known_count]
@@ -102,7 +100,7 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
     produced: list[str] = []
 
     quanta: list[LearnerQuantum] = []
-    regular_count = spec.lq_count - trap_quanta
+    regular_count = spec.lq_count - len(trap_kfs)
     for i in range(1, regular_count + 1):
         want = rng.randint(1, _MAX_OBJECTIVES)
         fresh = [unproduced.popleft() for _ in range(min(want, len(unproduced)))]
@@ -135,7 +133,7 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
         available += fresh
         produced += fresh
 
-    if trap_quanta:
+    if trap_kfs:
         # Each trap unit requires exactly what the other delivers, plus a
         # tempting real objective, so a cover can be lured into the pair.
         bait = produced if produced else available

@@ -29,9 +29,6 @@ _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # what a lone JSON "\udXXX" esca
 _TOKEN_RE = re.compile(r"[^\s\ud800-\udfff]+")  # always used with fullmatch
 
 _TOP_LEVEL_KEYS = frozenset({"subject", "clouds", "quanta"})
-_QUANTUM_KEYS = frozenset(
-    {"id", "title", "prerequisites", "objectives", "duration_minutes", "cost"}
-)
 _PROFILE_KEYS = frozenset({"known", "target"})
 
 
@@ -115,6 +112,9 @@ class LearnerQuantum:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prerequisites", frozenset(self.prerequisites))
         object.__setattr__(self, "objectives", frozenset(self.objectives))
+
+
+_QUANTUM_KEYS = frozenset(LearnerQuantum.__slots__)  # the keys a dictionary entry may hold
 
 
 @dataclass(frozen=True)

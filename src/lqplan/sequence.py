@@ -145,10 +145,8 @@ def topo_schedule(graph: PrereqDigraph, dictionary: LQDictionary) -> Plan:
         successors[src].append(dst)
     current = sorted(n for n in graph.nodes if in_degree[n] == 0)
     stages: list[tuple[str, ...]] = []
-    placed = 0
     while current:
         stages.append(tuple(current))
-        placed += len(current)
         unlocked: list[str] = []
         for n in current:
             for succ in successors[n]:
@@ -156,10 +154,10 @@ def topo_schedule(graph: PrereqDigraph, dictionary: LQDictionary) -> Plan:
                 if in_degree[succ] == 0:
                     unlocked.append(succ)
         current = sorted(unlocked)
-    if placed < len(graph.nodes):
+    quanta = [dictionary.quantum(lq_id) for stage in stages for lq_id in stage]
+    if len(quanta) < len(graph.nodes):
         leftover = {n for n in graph.nodes if in_degree[n] > 0}
         raise CycleDetected(_find_cycle(leftover, graph.edges))
-    quanta = [dictionary.quantum(lq_id) for stage in stages for lq_id in stage]
     return Plan(
         stages=tuple(stages),
         total_duration_minutes=total_weight(quanta, MinimalityMetric.DURATION),
@@ -195,16 +193,12 @@ def simulate_plan(
     for stage_index, stage in enumerate(plan.stages, start=1):
         stage_quanta = [dictionary.quantum(lq_id) for lq_id in stage]
         for q in stage_quanta:
-            missing = q.prerequisites - held
-            if missing:
-                return SimulationVerdict(
-                    ok=False, stage=stage_index, lq_id=q.id, missing=frozenset(missing)
-                )
+            if missing := q.prerequisites - held:
+                return SimulationVerdict(ok=False, stage=stage_index, lq_id=q.id, missing=missing)
         for q in stage_quanta:
             held |= q.objectives
-    missing_targets = profile.target - held
-    if missing_targets:
-        return SimulationVerdict(ok=False, missing=frozenset(missing_targets))
+    if missing_targets := profile.target - held:
+        return SimulationVerdict(ok=False, missing=missing_targets)
     return SimulationVerdict(ok=True)
 
 

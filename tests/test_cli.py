@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
@@ -549,3 +550,16 @@ def test_module_entry_point_matches_in_process(capsys, d1_file):
     )
     assert result.returncode == 0
     assert result.stdout == out
+
+
+def test_shared_options_read_the_same_on_every_subcommand():
+    """``--dict``, ``--known`` and ``--target`` carry the same help text,
+    default and requiredness on every subcommand that takes them."""
+    subs = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for option, takers in (("--dict", {"plan", "counsel", "graph"}), ("--known", {"plan", "counsel", "graph"}),
+                           ("--target", {"plan", "graph"})):
+        actions = {name: sub._option_string_actions.get(option) for name, sub in subs.items()}
+        assert {name for name, action in actions.items() if action} == takers
+        declared = {(action.help, action.default, action.required) for action in actions.values() if action}
+        assert len(declared) == 1, (option, declared)
+        assert next(iter(declared))[0], option

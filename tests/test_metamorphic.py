@@ -21,13 +21,14 @@ stderr of every such run with the run on the instance as generated:
 Dictionaries drawn by hypothesis from the conftest strategies (up to
 eight units over seven KFs, with drawn known and target sets, zero
 weights and shared objectives) are held to the first three relations
-too, in the same twelve runs each.
+too, in the same twelve runs each, and to scaling once every duration
+and cost is raised by 1, so that no unit weighs 0.
 
 Scaling fails where some unit weighs 0, so those instances run under a
 strict xfail: greedy counts a zero weight as 1, so scaling moves a pick
 whenever greedy takes a zero-weight unit that the rest of its pick
 covers, and exact mode keeps such a unit when it seeds the search
-(ROADMAP item 2).
+(ROADMAP item 1, "No free riders").
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ def same_but_scaled_totals(before: tuple, after: tuple) -> bool:
     return scaled_doc == doc and before[2] == after[2]
 
 
-FREE_RIDER = pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 2: a zero-weight unit rides free")
+FREE_RIDER = pytest.mark.xfail(raises=AssertionError, strict=True,
+                               reason="ROADMAP item 1 (no free riders): a zero-weight unit rides free")
 
 
 @pytest.mark.parametrize("zero_weights", [False, pytest.param(True, marks=FREE_RIDER)],
@@ -224,3 +226,13 @@ def test_scaled_weights_scale_only_the_totals(generated, as_generated, tmp_path,
         runs = run_plans(tmp_path, name, *scaled(*generated[name]))
         moved = [case for case, run in runs.items() if not same_but_scaled_totals(as_generated[name][case], run)]
         assert not moved, (name, moved)
+
+
+@given(small_dictionaries(max_quanta=8), profiles())
+@settings(max_examples=50, deadline=None)
+def test_drawn_positive_weights_scale_only_the_totals(drawn_dir, dictionary, profile):
+    quanta = tuple(replace(q, duration_minutes=q.duration_minutes + 1, cost=q.cost + 1) for q in dictionary.quanta)
+    dictionary = replace(dictionary, quanta=quanta)
+    as_drawn = run_plans(drawn_dir, "drawn", dictionary, profile)
+    runs = run_plans(drawn_dir, "drawn", *scaled(dictionary, profile))
+    assert not [case for case, run in runs.items() if not same_but_scaled_totals(as_drawn[case], run)]
