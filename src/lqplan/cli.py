@@ -12,6 +12,7 @@ from pathlib import Path
 from .cover import (
     CoverConfig,
     CoverMode,
+    EmptyTarget,
     ExactTooLarge,
     Infeasible,
     SolutionTrace,
@@ -141,8 +142,6 @@ def _plan_doc(
 def _cmd_plan(args: argparse.Namespace) -> int:
     dictionary = load_dictionary(_read(args.dict))
     profile = LearnerProfile(known=_parse_kfs(args.known), target=_parse_kfs(args.target))
-    if not profile.target:
-        raise _UsageError("planning query requires a non-empty target set")
     config = CoverConfig(
         metric=MinimalityMetric(args.metric),
         mode=CoverMode(args.mode),
@@ -259,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = parser.parse_args(argv)
             return args.handler(args)
-        except _UsageError as exc:
+        except (_UsageError, EmptyTarget) as exc:
             print(f"lqplan: usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except (ParseError, SchemaError) as exc:

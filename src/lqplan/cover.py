@@ -107,6 +107,10 @@ class GapReport:
     satisfiable: bool
 
 
+class EmptyTarget(LQPlanError, ValueError):
+    """A planning query named no target KF."""
+
+
 class NoCover(LQPlanError):
     """No subset of the candidates covers the requested targets."""
 
@@ -396,10 +400,11 @@ def backward_resolve(
     raised, or the selection forms a cycle) does the closure run on the
     targets' backward cone, and a target it misses ends in ``Infeasible``
     at stage 0. Otherwise a round without a cover ends in ``Infeasible``
-    at its own stage, and ``ExactTooLarge`` passes through.
+    at its own stage, and ``ExactTooLarge`` passes through. No target at all
+    raises ``EmptyTarget``, before the scope is looked up.
     """
     if not profile.target:
-        raise ValueError("planning query requires a non-empty target set")
+        raise EmptyTarget("planning query requires a non-empty target set")
     candidates = dictionary.scoped(scope)
     goal = wanted = profile.target - profile.known
     if not wanted:

@@ -418,58 +418,54 @@ def _parse_json(source: Source) -> object:
         raise ParseError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
+_NOUNS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _typed(value: object, kind: type, where: str):
+    """``value``, if its type is exactly ``kind``: JSON's types are, so a bool is no integer."""
+    if type(value) is not kind:
+        raise SchemaError(where, f"expected {_NOUNS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _required(doc: dict, where: str, key: str, kind: type):
+    if key not in doc:
+        raise SchemaError(f"{where}.{key}", "missing required key")
+    return _typed(doc[key], kind, f"{where}.{key}")
+
+
 def _require_object(doc: object, where: str, allowed: frozenset[str]) -> dict:
-    if not isinstance(doc, dict):
-        raise SchemaError(where, f"expected an object, got {type(doc).__name__}")
-    for key in doc:
+    for key in _typed(doc, dict, where):
         if key not in allowed:
             raise SchemaError(f"{where}.{key}", "unknown key")
     return doc
 
 
 def _require_str(doc: dict, where: str, key: str) -> str:
-    if key not in doc:
-        raise SchemaError(f"{where}.{key}", "missing required key")
-    value = doc[key]
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}.{key}", f"expected a string, got {type(value).__name__}")
-    if fault := _text_fault(value):
+    if fault := _text_fault(value := _required(doc, where, key, str)):
         raise SchemaError(f"{where}.{key}", fault)
     return value
 
 
 def _require_token(value: object, where: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(where, f"expected a string, got {type(value).__name__}")
-    if fault := _token_fault(value):
+    if fault := _token_fault(_typed(value, str, where)):
         raise SchemaError(where, fault)
     return value
 
 
 def _tokens(items: list, where: str) -> frozenset[str]:
-    """The items as a set, each required to be a token; the first bad item
-    raises, with its position in ``where``."""
+    """The items as a set; the first that is not a token raises, with its position in ``where``."""
     for i, item in enumerate(items):
         _require_token(item, f"{where}[{i}]")
     return frozenset(items)
 
 
 def _token_list(doc: dict, where: str, key: str) -> frozenset[str]:
-    if key not in doc:
-        raise SchemaError(f"{where}.{key}", "missing required key")
-    value = doc[key]
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}.{key}", f"expected a list, got {type(value).__name__}")
-    return _tokens(value, f"{where}.{key}")
+    return _tokens(_required(doc, where, key, list), f"{where}.{key}")
 
 
 def _optional_count(doc: dict, where: str, key: str) -> int:
-    if key not in doc:
-        return 0
-    value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{where}.{key}", f"expected an integer, got {type(value).__name__}")
-    if value < 0:
+    if (value := _typed(doc.get(key, 0), int, f"{where}.{key}")) < 0:
         raise SchemaError(f"{where}.{key}", f"must be non-negative, got {value}")
     return value
 
@@ -560,31 +556,23 @@ def parse_dictionary(source: Source) -> LQDictionary:
     with _collector_paused():
         doc = _require_object(_parse_json(source), "$", _TOP_LEVEL_KEYS)
         subject = _require_str(doc, "$", "subject")
-        if "quanta" not in doc:
-            raise SchemaError("$.quanta", "missing required key")
-        raw_quanta, raw_clouds = doc["quanta"], doc.get("clouds", {})
-        if not isinstance(raw_quanta, list):
-            raise SchemaError("$.quanta", f"expected a list, got {type(raw_quanta).__name__}")
+        raw_quanta, raw_clouds = _required(doc, "$", "quanta", list), doc.get("clouds", {})
         accepted = _bulk_accept(raw_quanta, raw_clouds)
         if accepted is not None:
             return LQDictionary(subject, *accepted)
         for i, item in enumerate(raw_quanta):
             where = f"$.quanta[{i}]"
             entry = _require_object(item, where, _QUANTUM_KEYS)
-            _require_token(_require_str(entry, where, "id"), f"{where}.id")
+            _require_token(_required(entry, where, "id", str), f"{where}.id")
             _require_str(entry, where, "title")
             _token_list(entry, where, "prerequisites")
             _token_list(entry, where, "objectives")
             _optional_count(entry, where, "duration_minutes")
             _optional_count(entry, where, "cost")
-        if not isinstance(raw_clouds, dict):
-            raise SchemaError("$.clouds", f"expected an object, got {type(raw_clouds).__name__}")
-        for name, members in raw_clouds.items():
+        for name, members in _typed(raw_clouds, dict, "$.clouds").items():
             where = f"$.clouds.{name}"
             _require_token(name, where)
-            if not isinstance(members, list):
-                raise SchemaError(where, f"expected a list, got {type(members).__name__}")
-            _tokens(members, where)
+            _tokens(_typed(members, list, where), where)
         raise AssertionError("the bulk accept refused a file the fault walk finds no fault in")
 
 

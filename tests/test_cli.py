@@ -319,10 +319,21 @@ class TestPlan:
             " which is not a Unicode character\n"
         )
 
-    def test_empty_target_rejected(self, capsys, d1_file):
-        code, _, err = run_cli(capsys, "plan", "--dict", d1_file, "--target", "")
-        assert code == 4
-        assert "non-empty" in err
+    @pytest.mark.parametrize("target", ["", ","])
+    @pytest.mark.parametrize("subcommand", ["plan", "graph"])
+    def test_empty_target_rejected(self, capsys, monkeypatch, d1_file, subcommand, target):
+        # the library refuses an empty target and the CLI only reports it
+        resolve, asked = cover.backward_resolve, []
+
+        def spy(profile, *args):
+            asked.append(profile.target)
+            return resolve(profile, *args)
+
+        monkeypatch.setattr(cover, "backward_resolve", spy)
+        code, out, err = run_cli(capsys, subcommand, "--dict", d1_file, "--target", target)
+        assert (code, out) == (4, "")
+        assert err == "lqplan: usage error: planning query requires a non-empty target set\n"
+        assert asked == [frozenset()]
 
     @pytest.mark.parametrize(
         "module, step",

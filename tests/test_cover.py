@@ -563,8 +563,9 @@ class TestBackwardResolve:
         assert trace.cardinality == 0
 
     def test_empty_target_rejected(self, d1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             backward_resolve(LearnerProfile(known={"k1"}, target=frozenset()), d1)
+        assert isinstance(err.value, LQPlanError)
 
     def test_unreachable_target_is_stage_zero(self, d1):
         with pytest.raises(Infeasible) as err:

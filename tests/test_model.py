@@ -79,30 +79,54 @@ def test_malformed_json_is_parse_error():
 
 
 @pytest.mark.parametrize(
-    "mutate, needle",
+    "mutate, expected",
     [
         (lambda doc: doc.update(extra=1), "$.extra: unknown key"),
-        (lambda doc: doc["quanta"][0].update(level=3), "level"),
-        (lambda doc: doc["quanta"][0].update(duration_minutes=-5), "duration_minutes"),
-        (lambda doc: doc["quanta"][0].update(duration_minutes="long"), "duration_minutes"),
-        (lambda doc: doc["quanta"][0].update(cost=True), "cost"),
-        (lambda doc: doc["quanta"][0].update(id="has space"), "id"),
-        (lambda doc: doc["quanta"][0].update(prerequisites=["ok", "not ok"]), "prerequisites"),
-        (lambda doc: doc["quanta"][0].update(prerequisites="k1"), "prerequisites"),
-        (lambda doc: doc["quanta"][0].pop("title"), "title"),
-        (lambda doc: doc["quanta"][0].pop("objectives"), "objectives"),
-        (lambda doc: doc.update(clouds=[]), "clouds"),
-        (lambda doc: doc["clouds"].update(core="A"), "$.clouds.core: expected a list"),
-        (lambda doc: doc.update(quanta={}), "quanta"),
-        (lambda doc: doc.pop("subject"), "subject"),
+        (lambda doc: doc["quanta"][0].update(level=3), "$.quanta[0].level: unknown key"),
+        (lambda doc: doc["quanta"][0].update(duration_minutes=-5),
+         "$.quanta[0].duration_minutes: must be non-negative, got -5"),
+        (lambda doc: doc["quanta"][0].update(duration_minutes="long"),
+         "$.quanta[0].duration_minutes: expected an integer, got str"),
+        (lambda doc: doc["quanta"][0].update(cost=True), "$.quanta[0].cost: expected an integer, got bool"),
+        (lambda doc: doc["quanta"][0].update(cost=1.5), "$.quanta[0].cost: expected an integer, got float"),
+        (lambda doc: doc["quanta"][0].update(id="has space"),
+         "$.quanta[0].id: 'has space' is not a whitespace-free token"),
+        (lambda doc: doc["quanta"][0].update(id=7), "$.quanta[0].id: expected a string, got int"),
+        (lambda doc: doc["quanta"][0].pop("id"), "$.quanta[0].id: missing required key"),
+        (lambda doc: doc["quanta"][0].update(prerequisites=["ok", "not ok"]),
+         "$.quanta[0].prerequisites[1]: 'not ok' is not a whitespace-free token"),
+        (lambda doc: doc["quanta"][0].update(prerequisites="k1"),
+         "$.quanta[0].prerequisites: expected a list, got str"),
+        (lambda doc: doc["quanta"][0].pop("title"), "$.quanta[0].title: missing required key"),
+        (lambda doc: doc["quanta"][0].pop("objectives"), "$.quanta[0].objectives: missing required key"),
+        (lambda doc: doc["quanta"].__setitem__(0, 5), "$.quanta[0]: expected an object, got int"),
+        (lambda doc: doc.update(clouds=[]), "$.clouds: expected an object, got list"),
+        (lambda doc: doc["clouds"].update(core="A"), "$.clouds.core: expected a list, got str"),
+        (lambda doc: doc["clouds"].update(core=["A", 3]), "$.clouds.core[1]: expected a string, got int"),
+        (lambda doc: doc.update(quanta={}), "$.quanta: expected a list, got dict"),
+        (lambda doc: doc.pop("quanta"), "$.quanta: missing required key"),
+        (lambda doc: doc.pop("subject"), "$.subject: missing required key"),
     ],
 )
-def test_structural_schema_errors(mutate, needle):
+def test_structural_schema_errors(mutate, expected):
     doc = json.loads(D1_JSON)
     mutate(doc)
     with pytest.raises(SchemaError) as err:
         parse_dictionary(json.dumps(doc).encode())
-    assert needle in str(err.value)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (b'{"known": ["k1"]}', "$.target: missing required key"),
+        (b'{"known": "k1", "target": ["k3"]}', "$.known: expected a list, got str"),
+    ],
+)
+def test_structural_profile_errors(text, expected):
+    with pytest.raises(SchemaError) as err:
+        parse_profile(text)
+    assert str(err.value) == expected
 
 
 @pytest.mark.parametrize("parse", [parse_dictionary, parse_profile])
