@@ -49,52 +49,8 @@ from .sequence import (
     topo_schedule,
 )
 
-__all__ = [
-    "CoverConfig",
-    "CoverMode",
-    "CycleDetected",
-    "EmptyTarget",
-    "ExactTooLarge",
-    "Finding",
-    "Flavor",
-    "GapReport",
-    "GenSpec",
-    "Infeasible",
-    "IterationRecord",
-    "KFSet",
-    "LQCloud",
-    "LQDictionary",
-    "LQPlanError",
-    "LearnerProfile",
-    "LearnerQuantum",
-    "MinimalityMetric",
-    "NoCover",
-    "ParseError",
-    "Plan",
-    "PrereqDigraph",
-    "SchemaError",
-    "SimulationVerdict",
-    "SolutionTrace",
-    "SpecInvalid",
-    "UnknownCloud",
-    "UnknownLQ",
-    "backward_resolve",
-    "build_digraph",
-    "closure_over",
-    "digraph_to_dot",
-    "generate",
-    "load_dictionary",
-    "minimal_cover",
-    "parse_dictionary",
-    "parse_profile",
-    "plan_query",
-    "prerequisite_gap",
-    "serialize_dictionary",
-    "serialize_profile",
-    "simulate_plan",
-    "topo_schedule",
-    "total_weight",
-    "validate_dictionary",
-]
+__all__ = sorted(  # help(lqplan) lists only these: the public names imported above, no submodule
+    name for name, value in globals().items() if not name.startswith("_") and type(value) is not type(cover)
+)
 
 __version__ = "0.1.0"

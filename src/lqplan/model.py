@@ -16,7 +16,7 @@ import re
 import sys
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
@@ -27,10 +27,6 @@ KFSet = frozenset[str]
 
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")  # what a lone JSON "\udXXX" escape decodes to
 _TOKEN_RE = re.compile(r"[^\s\ud800-\udfff]+")  # always used with fullmatch
-
-_TOP_LEVEL_KEYS = frozenset({"subject", "clouds", "quanta"})
-_PROFILE_KEYS = frozenset({"known", "target"})
-
 
 class LQPlanError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -144,9 +140,9 @@ def _positions_by_kf(groups: Iterable[KFSet]) -> dict[str, list[int]]:
 class Scope(tuple):
     """The quanta one query may draw on, compiled for lookups by KF.
 
-    A ``Scope`` is a tuple of quanta, so it can stand wherever the plain
-    tuple did. Its ``suppliers`` map, built on first use and kept as long
-    as the scope, sends a KF to the positions of the quanta delivering it.
+    Callers index it and iterate over it as the scope's quanta, so it is a
+    tuple of them. Its ``suppliers`` map, built on first use and kept as
+    long as the scope, sends a KF to the positions of the quanta delivering it.
     """
 
     @cached_property
@@ -319,8 +315,7 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
 
     A dictionary built in code never went through the file parser, so type
     and token checks are repeated here rather than trusted. A unit's KFs
-    are sorted only to list the ones that fail. A valid file is loaded
-    without this pass, so it keeps no memo of the KFs already matched.
+    are sorted only to list the ones that fail.
     """
     findings: list[Finding] = []
     if fault := _text_fault(dictionary.subject):
@@ -344,7 +339,7 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
             )
         if not q.objectives:
             findings.append(Finding("error", "empty-objectives", q.id, "objectives must be non-empty"))
-        for attr, code in (("duration_minutes", "bad-duration"), ("cost", "bad-cost")):
+        for attr, code in zip(totals, ("bad-duration", "bad-cost")):
             value = getattr(q, attr)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 findings.append(
@@ -419,6 +414,8 @@ def _parse_json(source: Source) -> object:
 
 
 _NOUNS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+_TOP_LEVEL_KEYS = frozenset(f.name for f in fields(LQDictionary))  # a dictionary file's top-level keys
+_PROFILE_KEYS = frozenset(f.name for f in fields(LearnerProfile))  # a profile file's keys
 
 
 def _typed(value: object, kind: type, where: str):
