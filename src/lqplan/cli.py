@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-# backward_resolve, build_digraph, topo_schedule: unused, patched by perfbench/spans.py (ROADMAP item 5 step 3)
+# backward_resolve, build_digraph, topo_schedule: unused, patched by perfbench/spans.py (ROADMAP item 3)
 from .cover import (
     CoverConfig,
     CoverMode,
@@ -252,33 +252,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# (error kinds, stderr prefix, exit code), first match wins; exit 1 means infeasible and nothing else
+_VERDICTS = (
+    ((_UsageError, EmptyTarget), "usage error: ", EXIT_USAGE),
+    ((ParseError, SchemaError), "invalid input: ", EXIT_INVALID),
+    (Infeasible, "", EXIT_INFEASIBLE),
+    (CycleDetected, "", EXIT_CYCLE),
+    ((ExactTooLarge, SpecInvalid, UnknownCloud, UnknownLQ), "error: ", EXIT_USAGE),
+    (_Unreadable, "cannot read input: ", EXIT_INVALID),
+    # a closed pipe, or a stdout that cannot encode a path
+    ((OSError, UnicodeEncodeError), "cannot write output: ", EXIT_INVALID),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     with _collector_paused():  # one command makes no garbage cycle worth a pass over its dictionary
         try:
             args = parser.parse_args(argv)
             return args.handler(args)
-        except (_UsageError, EmptyTarget) as exc:
-            print(f"lqplan: usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (ParseError, SchemaError) as exc:
-            print(f"lqplan: invalid input: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        except Infeasible as exc:
-            print(f"lqplan: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        except CycleDetected as exc:
-            print(f"lqplan: {exc}", file=sys.stderr)
-            return EXIT_CYCLE
-        except (ExactTooLarge, SpecInvalid, UnknownCloud, UnknownLQ) as exc:
-            print(f"lqplan: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except _Unreadable as exc:
-            print(f"lqplan: cannot read input: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        except (OSError, UnicodeEncodeError) as exc:  # a closed pipe, or a stdout that cannot encode a path
-            print(f"lqplan: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        except Exception as exc:  # a bug, not a verdict on the input: keep it off exits 1-4
-            print(f"lqplan: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
+        except Exception as exc:
+            # the first row that matches; a bug matches none, as it is no verdict on the input
+            prefix, code = next(((prefix, code) for kinds, prefix, code in _VERDICTS if isinstance(exc, kinds)),
+                                (f"internal error: {type(exc).__name__}: ", EXIT_INTERNAL))
+            print(f"lqplan: {prefix}{exc}", file=sys.stderr)
+            return code

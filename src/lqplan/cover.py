@@ -331,8 +331,9 @@ def _exact_cover(full: int, masks: list[int], weights: list[int], needs: list[KF
     it visits and the greedy pick, so identical inputs always yield
     identical picks. Its weight and unmet count are the least of any
     cover's, and its key is no greater than that of any cover without a
-    free-riding member. It may hold one itself: a zero-weight unit of the
-    greedy pick that the rest of it covers stays when its id sorts first.
+    free-riding member. It may hold one itself, from the greedy seed or
+    from a branch that took a zero-weight unit before a later member
+    covered its targets too: the unit stays when its id sorts first.
     """
     supply = {bit: sum(1 << i for i, mask in enumerate(masks) if mask & bit) for bit in _bits(full)}
     scale = lcm(*range(1, len(supply) + 1))

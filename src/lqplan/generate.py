@@ -74,6 +74,12 @@ def _check(spec: GenSpec) -> None:
         raise SpecInvalid(f"flavor must be a Flavor, got {spec.flavor!r}")
 
 
+def _unit(n: int, width: int, topic: str, prerequisites, objectives, duration: int, cost: int) -> LearnerQuantum:
+    """Unit number ``n``, its id zero-padded to ``width`` digits. Callers draw the topic, duration
+    and cost as arguments, which Python evaluates left to right: that order fixes every seed's output."""
+    return LearnerQuantum(f"q{str(n).zfill(width)}", f"Unit {n}: {topic}", prerequisites, objectives, duration, cost)
+
+
 def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
     """Generate one dictionary/profile pair, a pure function of the request."""
     _check(spec)
@@ -119,16 +125,8 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
             prereq_pool = known if produced else [kf for kf in known if kf not in objectives]
         depth = rng.randint(0, min(_MAX_PREREQS, len(prereq_pool)))
         prerequisites = rng.sample(prereq_pool, depth)
-        quanta.append(
-            LearnerQuantum(
-                id=f"q{str(i).zfill(lq_width)}",
-                title=f"Unit {i}: {rng.choice(_TOPICS)}",
-                prerequisites=frozenset(prerequisites),
-                objectives=frozenset(objectives),
-                duration_minutes=rng.randrange(10, 125, 5),
-                cost=rng.randint(0, 40),
-            )
-        )
+        quanta.append(_unit(i, lq_width, rng.choice(_TOPICS), prerequisites, objectives,
+                            rng.randrange(10, 125, 5), rng.randint(0, 40)))
         # fresh objectives were never available; re-taught ones always were
         available += fresh
         produced += fresh
@@ -140,17 +138,8 @@ def generate(spec: GenSpec) -> tuple[LQDictionary, LearnerProfile]:
         first, second = trap_kfs
         for offset, (needs, makes) in enumerate(((first, second), (second, first))):
             # drawn before the title: the order of draws fixes every seed's output
-            objectives = frozenset([makes, rng.choice(bait)])
-            quanta.append(
-                LearnerQuantum(
-                    id=f"q{str(regular_count + 1 + offset).zfill(lq_width)}",
-                    title=f"Unit {regular_count + 1 + offset}: {rng.choice(_TOPICS)}",
-                    prerequisites=frozenset([needs]),
-                    objectives=objectives,
-                    duration_minutes=0,
-                    cost=0,
-                )
-            )
+            objectives = [makes, rng.choice(bait)]
+            quanta.append(_unit(regular_count + 1 + offset, lq_width, rng.choice(_TOPICS), [needs], objectives, 0, 0))
 
     clouds: tuple[LQCloud, ...] = ()
     if spec.lq_count >= 4 and rng.random() < 0.3:

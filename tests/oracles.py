@@ -10,6 +10,7 @@ algorithms under test beyond the plain data types and the JSON decoding.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -65,6 +66,12 @@ def min_cover_weight(
         if best is None or weight < best:
             best = weight
     return best
+
+
+def harmonic(d: int) -> Fraction:
+    """H(d), Chvátal's factor: a greedy cover weighs at most H(d) times the
+    least, d being the most targets one unit covers."""
+    return sum(Fraction(1, i) for i in range(1, d + 1))
 
 
 def is_irredundant(subset: Sequence[LearnerQuantum], targets: KFSet) -> bool:

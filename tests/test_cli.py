@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import lqplan
 from lqplan import cli, cover, sequence
 from lqplan.cover import MAX_EXACT_CANDIDATES
 from lqplan.model import LearnerProfile, LearnerQuantum, LQCloud, LQDictionary, serialize_dictionary
@@ -140,6 +141,40 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.json"))
         assert code == 2
         assert "cannot read input" in err
+
+
+# each error class lqplan exports, raised where `validate` parses its file:
+# its exit code and the stderr line after "lqplan: "
+EXIT_BY_ERROR = [
+    (lqplan.CycleDetected(["A", "B"]), 3, "prerequisite cycle: A -> B -> A"),
+    (lqplan.EmptyTarget("no target"), 4, "usage error: no target"),
+    (lqplan.ExactTooLarge(26, 25), 4,
+     "error: exact cover over 26 relevant candidates exceeds the cap of 25; retry in greedy mode"),
+    (lqplan.Infeasible(2, {"k1"}), 1, "Infeasible at stage 2: uncovered = k1"),
+    # backward_resolve turns NoCover into Infeasible, so no CLI path raises it
+    (lqplan.NoCover({"k1"}), 5, "internal error: NoCover: no candidate covers: k1"),
+    (lqplan.ParseError("bad"), 2, "invalid input: bad"),
+    (lqplan.SchemaError("$.quanta", "missing required key"), 2, "invalid input: $.quanta: missing required key"),
+    (lqplan.SpecInvalid("bad spec"), 4, "error: bad spec"),
+    (lqplan.UnknownCloud("c"), 4, "error: unknown cloud: c"),
+    (lqplan.UnknownLQ("Q"), 4, "error: unknown LQ id: Q"),
+]
+
+
+def test_the_exit_table_names_every_exported_error_class():
+    exported = {value for value in vars(lqplan).values() if isinstance(value, type) and issubclass(value, Exception)}
+    assert {type(error) for error, _, _ in EXIT_BY_ERROR} == exported - {lqplan.LQPlanError}
+    # exit 1 means infeasible and nothing else
+    assert [type(error) for error, code, _ in EXIT_BY_ERROR if code == 1] == [lqplan.Infeasible]
+
+
+@pytest.mark.parametrize("error, expected, line", EXIT_BY_ERROR, ids=[type(row[0]).__name__ for row in EXIT_BY_ERROR])
+def test_each_error_class_has_its_exit_code(capsys, monkeypatch, d1_file, error, expected, line):
+    def failing(source):
+        raise error
+
+    monkeypatch.setattr(cli, "parse_dictionary", failing)  # _cmd_validate looks it up per call
+    assert run_cli(capsys, "validate", d1_file) == (expected, "", f"lqplan: {line}\n")
 
 
 class TestPlan:

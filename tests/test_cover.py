@@ -3,7 +3,6 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import replace
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from operator import or_
@@ -43,6 +42,7 @@ from oracles import (
     best_reachable_subset,
     closure_by_rescan,
     greedy_cover,
+    harmonic,
     is_irredundant,
     iter_covers,
     min_cover_weight,
@@ -92,7 +92,7 @@ def chvatal_bound(targets, quanta, metric):
     """Chvátal's bound on a greedy cover's weight: H(d) times the least
     cover weight, d being the most targets one unit covers."""
     d = max(len(q.objectives & targets) for q in quanta)
-    return sum(Fraction(1, i) for i in range(1, d + 1)) * min_cover_weight(targets, quanta, metric)
+    return harmonic(d) * min_cover_weight(targets, quanta, metric)
 
 
 @st.composite
@@ -287,6 +287,19 @@ class TestMinimalCover:
         targets = frozenset().union(*(q.objectives for q in pool))
         assert minimal_cover(targets, pool, frozenset(), EXACT) == frozenset(q.id for q in pool)
 
+    @pytest.mark.parametrize("metric", list(MinimalityMetric))
+    def test_a_non_supplier_leaves_an_over_cap_pool_as_it_was(self, metric):
+        # 27 suppliers in two components within the cap, {a, b} and {c};
+        # X delivers no target, so it leaves the pool before the split
+        pool = [LearnerQuantum(f"B{i:02d}", "b", frozenset(), {"b"}, 10 + i, i % 3) for i in range(13)]
+        pool += [LearnerQuantum("AB", "ab", frozenset(), {"a", "b"}, 30, 4)]
+        pool += [LearnerQuantum(f"C{i:02d}", "c", frozenset(), {"c"}, 30 - i, i % 4) for i in range(13)]
+        assert len(pool) > MAX_EXACT_CANDIDATES
+        targets, config = frozenset({"a", "b", "c"}), CoverConfig(metric=metric)
+        x = LearnerQuantum("X", "x", frozenset(), {"x"})
+        without = minimal_cover(targets, pool, frozenset(), config)
+        assert minimal_cover(targets, pool + [x], frozenset(), config) == without
+
     @given(component_pools(), st.sampled_from(list(MinimalityMetric)))
     @settings(max_examples=150, deadline=None)
     def test_split_weight_matches_enumeration(self, instance, metric):
@@ -394,6 +407,21 @@ class TestMinimalCover:
         got = minimal_cover(targets, pool, frozenset(), CoverConfig(MinimalityMetric.COST, CoverMode.GREEDY))
         cost = total_weight([q for q in pool if q.id in got], MinimalityMetric.COST)
         assert cost <= chvatal_bound(targets, pool, MinimalityMetric.COST)
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="ROADMAP item 1 (no free riders): the exact search branches on a first, takes "
+                              "the free F, then covers b with G, so pruning only greedy's seed keeps F")
+    def test_exact_pick_has_no_free_rider(self):
+        # irredundant covers: {G} and {F, J} at (3, 1), {F, H} at (3, 2)
+        pool = [LearnerQuantum("F", "f", frozenset(), {"a"}, cost=0),
+                LearnerQuantum("G", "g", {"q"}, {"a", "b"}, cost=3),
+                LearnerQuantum("H", "h", {"q", "r"}, {"b"}, cost=3),
+                LearnerQuantum("J", "j", {"r"}, {"b"}, cost=3)]
+        targets = frozenset({"a", "b"})
+        got = minimal_cover(targets, pool, frozenset(), CoverConfig(MinimalityMetric.COST))
+        picked = [q for q in pool if q.id in got]
+        assert [q.id for q in picked if not q.cost
+                and targets <= frozenset().union(*(r.objectives for r in picked if r is not q))] == []
 
     @pytest.mark.parametrize("metric", list(MinimalityMetric))
     @given(greedy_instances())
@@ -679,9 +707,10 @@ class TestBackwardResolve:
         )
         assert [set(rec.selected) for rec in strict.iterations] == [{"G"}, {"M1"}, {"N"}]
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1 (no free riders): a free unit that the rest of "
-                                           "greedy's pick covers stays in both modes, as the exact search "
-                                           "starts from that pick")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1 (no free riders): greedy takes the free F, and "
+                                           "exact mode keeps that pick, as (F, G) sorts before (G,); the "
+                                           "search can also take a free rider itself "
+                                           "(test_exact_pick_has_no_free_rider)")
     def test_no_free_rider(self):
         # G alone covers both targets at F and G's cost, in half the time
         dictionary = LQDictionary(subject="free-rider", quanta=(

@@ -5,6 +5,7 @@ import gc
 import json
 import pickle
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -76,6 +77,36 @@ def test_malformed_json_is_parse_error():
         load_dictionary(b"{not json")
     with pytest.raises(ParseError):
         load_dictionary(b"\xff\xfe\x00broken")
+
+
+def test_deep_nesting_is_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_dictionary(b"[" * 100_000)
+    assert str(err.value) == "input nests too deeply"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="interpreter has no integer digit limit")
+def test_integer_past_the_digit_limit_is_parse_error():
+    limit = sys.get_int_max_str_digits()
+    assert b'"cost": 5}' in D1_JSON
+    with pytest.raises(ParseError) as err:
+        parse_dictionary(D1_JSON.replace(b'"cost": 5}', b'"cost": ' + b"9" * (limit + 1) + b"}"))
+    assert str(err.value) == f"an integer has more than {limit} digits"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no integer digit limit")
+def test_without_a_digit_limit_no_total_is_too_long():
+    # limit 0 switches the limit off, so str prints any total
+    huge = 10**5000
+    units = [LearnerQuantum("A", "t", (), {"a"}, cost=huge), LearnerQuantum("B", "t", (), {"b"}, cost=huge)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        dictionary = load_dictionary(serialize_dictionary(LQDictionary("s", units)))
+        assert [q.cost for q in dictionary.quanta] == [huge, huge]
+        assert "long-total" not in {f.code for f in validate_dictionary(dictionary)}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize(
