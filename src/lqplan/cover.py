@@ -12,7 +12,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import chain, repeat
 from math import lcm
 from operator import attrgetter, or_
 from typing import Iterable, Iterator
@@ -83,12 +84,13 @@ class SolutionTrace:
     """Full record of a backward resolution run.
 
     ``solution`` lists the chosen LQ ids in selection order (iteration by
-    iteration, alphabetical within one); ``cardinality`` is its length.
+    iteration, alphabetical within one), derived on first read and kept;
+    ``cardinality`` is its length.
     """
 
     iterations: tuple[IterationRecord, ...]
 
-    @property
+    @cached_property
     def solution(self) -> tuple[str, ...]:
         return tuple(lq_id for rec in self.iterations for lq_id in sorted(rec.selected))
 
@@ -154,9 +156,14 @@ def _encode(
     """What both solvers read of the pool, as integers: the targets get
     bits 0, 1, ... in sorted order, which fixes the exact search's
     branching order; each member becomes its target mask and its weight."""
-    bit = {kf: 1 << i for i, kf in enumerate(sorted(targets))}
-    masks = [sum(map(bit.__getitem__, targets.intersection(q.objectives))) for q in pool]
-    return (1 << len(bit)) - 1, masks, list(map(metric.weight, pool))
+    get = {kf: 1 << i for i, kf in enumerate(sorted(targets))}.get
+    masks = []
+    for q in pool:
+        mask = 0
+        for kf in q.objectives:
+            mask |= get(kf, 0)
+        masks.append(mask)
+    return (1 << len(targets)) - 1, masks, list(map(metric.weight, pool))
 
 
 def minimal_cover(
@@ -201,9 +208,10 @@ def minimal_cover(
         full, masks, weights = _encode(targets, pool, config.metric)
     if reduce(or_, masks, 0) != full:
         raise NoCover(targets.difference(*(q.objectives for q in pool)))
-    unmet = [q.prerequisites - known for q in pool]
     if config.mode is CoverMode.GREEDY:
-        return frozenset(pool[i].id for i in _greedy_cover(full, masks, weights, list(map(len, unmet))))
+        counts = [len(q.prerequisites - known) for q in pool]
+        return frozenset(pool[i].id for i in _greedy_cover(full, masks, weights, counts))
+    unmet = [q.prerequisites - known for q in pool]
     parts = [(full, range(len(pool)))]
     if len(pool) > MAX_EXACT_CANDIDATES:
         parts = _components(masks)
@@ -421,13 +429,14 @@ def backward_resolve(
         while wanted:
             # the round's pool: every quantum delivering a wanted KF, in scope
             # order, less those whose id is already selected
-            offered = {i for kf in wanted for i in suppliers.get(kf, ())}
+            offered = set(chain.from_iterable(map(suppliers.get, wanted, repeat(()))))
             pool = [candidates[i] for i in sorted(offered) if candidates[i].id not in selected_ids]
             picked = minimal_cover(wanted, pool, held, config)
-            prereq_union = frozenset().union(*(by_id[lq_id].prerequisites for lq_id in picked))
+            units = list(map(by_id.__getitem__, picked))
+            prereq_union = frozenset().union(*(q.prerequisites for q in units))
             if config.reuse_acquired_objectives:
                 # a unit never counts toward its own prerequisites
-                held.update(*(by_id[i].objectives - by_id[i].prerequisites for i in picked))
+                held.update(*(q.objectives - q.prerequisites for q in units))
             residual = prereq_union - held
             iterations.append(IterationRecord(frozenset(picked), prereq_union, residual))
             selected_ids |= picked

@@ -11,11 +11,12 @@ against the learner profile as an independent soundness check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from . import cover
 from .model import (
-    KFSet, LQDictionary, LQPlanError, LearnerProfile, MinimalityMetric, _positions_by_kf, total_weight,
+    KFSet, LQDictionary, LQPlanError, LearnerProfile, MinimalityMetric, total_weight,
 )
 
 
@@ -82,24 +83,31 @@ def build_digraph(
     and the learner does not already know; KFs in the known set create no
     edges. Self-loops are impossible by the same rule only when a quantum
     does not list one of its own objectives as a prerequisite, so they are
-    excluded explicitly.
+    excluded explicitly. Suppliers come from the whole dictionary's map,
+    ``dictionary.scoped().suppliers``: one counts when its id is selected
+    and ``by_id`` maps that id to it, the last unit to bear a repeated id.
     """
     ids = sorted(set(solution))
-    quanta = [dictionary.quantum(lq_id) for lq_id in ids]
-    suppliers = _positions_by_kf(q.objectives for q in quanta)
+    quanta = list(map(dictionary.quantum, ids))
+    scope, by_id, chosen = dictionary.scoped(), dictionary.by_id, set(ids)
+    suppliers = scope.suppliers
     edges: set[tuple[str, str]] = set()
-    for j, q in enumerate(quanta):
-        for kf in q.prerequisites - profile.known:
+    zero_prereq: list[str] = []
+    for q in quanta:
+        unmet = q.prerequisites - profile.known
+        if not unmet:
+            zero_prereq.append(q.id)
+        for kf in unmet:
             for i in suppliers.get(kf, ()):
-                if i != j:
-                    edges.add((ids[i], q.id))
+                supplier = scope[i]
+                if supplier.id in chosen and supplier is not q and by_id[supplier.id] is supplier:
+                    edges.add((supplier.id, q.id))
     sources = {src for src, _dst in edges}
-    zero_prereq = frozenset(q.id for q in quanta if q.prerequisites <= profile.known)
     finish = frozenset(q.id for q in quanta if q.objectives & profile.target and q.id not in sources)
     return PrereqDigraph(
         nodes=frozenset(ids),
         edges=frozenset(edges),
-        zero_prereq=zero_prereq,
+        zero_prereq=frozenset(zero_prereq),
         finish=finish,
     )
 
@@ -138,23 +146,24 @@ def topo_schedule(graph: PrereqDigraph, dictionary: LQDictionary) -> Plan:
     exposes the next. Nodes within a stage are sorted. Totals come from
     the dictionary's duration and cost attributes.
     """
-    in_degree = {n: 0 for n in graph.nodes}
-    successors: dict[str, list[str]] = {n: [] for n in graph.nodes}
+    in_degree = dict.fromkeys(graph.nodes, 0)
+    successors: dict[str, list[str]] = {}
     for src, dst in graph.edges:
         in_degree[dst] += 1
-        successors[src].append(dst)
+        successors.setdefault(src, []).append(dst)
     current = sorted(n for n in graph.nodes if in_degree[n] == 0)
     stages: list[tuple[str, ...]] = []
     while current:
         stages.append(tuple(current))
         unlocked: list[str] = []
         for n in current:
-            for succ in successors[n]:
+            for succ in successors.get(n, ()):
                 in_degree[succ] -= 1
                 if in_degree[succ] == 0:
                     unlocked.append(succ)
         current = sorted(unlocked)
-    quanta = [dictionary.quantum(lq_id) for stage in stages for lq_id in stage]
+    # every placed unit is looked up before the cycle check: an unknown id is reported first
+    quanta = list(map(dictionary.quantum, chain.from_iterable(stages)))
     if len(quanta) < len(graph.nodes):
         leftover = {n for n in graph.nodes if in_degree[n] > 0}
         raise CycleDetected(_find_cycle(leftover, graph.edges))

@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here favors obviousness over speed: closure by repeated full
-rescans, covers by exhaustive subset enumeration, the exact branch and
-bound with its first, weaker bound, a dictionary load that parses and
-then runs every validation rule. None of it imports the
+rescans, covers by exhaustive subset enumeration, target masks by set
+intersection, digraph edges by checking every pair of units, the exact
+branch and bound with its first, weaker bound, a dictionary load that
+parses and then runs every validation rule. None of it imports the
 algorithms under test beyond the plain data types and the JSON decoding.
 """
 
@@ -154,6 +155,38 @@ def greedy_cover(
         chosen.add(best.id)
         remaining -= best.objectives
     return frozenset(chosen)
+
+
+def encode_by_intersection(
+    targets: KFSet, pool: Sequence[LearnerQuantum], metric: MinimalityMetric
+) -> tuple[int, list[int], list[int]]:
+    """The pool as the solvers read it, from each member's intersection
+    with the targets: target i in sorted order is bit i, a member's mask
+    sums the bits of the targets it delivers, and its weight is its
+    duration, cost or 1."""
+    order = sorted(targets)
+    masks = [sum(1 << order.index(kf) for kf in targets & q.objectives) for q in pool]
+    columns = {MinimalityMetric.COUNT: lambda q: 1, MinimalityMetric.DURATION: lambda q: q.duration_minutes,
+               MinimalityMetric.COST: lambda q: q.cost}
+    return (1 << len(order)) - 1, masks, [columns[metric](q) for q in pool]
+
+
+def digraph_by_pairs(solution: Iterable[str], dictionary: LQDictionary, profile: LearnerProfile) -> dict:
+    """The prerequisite digraph's fields by checking every ordered pair of
+    the selection's units (each id's unit is ``by_id``'s): an edge P -> Q
+    for P != Q when P delivers a prerequisite of Q outside the known set.
+    A zero-prerequisite node needs nothing outside it; a finish node
+    delivers a target and is the source of no edge."""
+    units = [dictionary.by_id[lq_id] for lq_id in set(solution)]
+    edges = frozenset(
+        (p.id, q.id) for p in units for q in units if p.id != q.id and p.objectives & (q.prerequisites - profile.known)
+    )
+    return {
+        "nodes": frozenset(q.id for q in units),
+        "edges": edges,
+        "zero_prereq": frozenset(q.id for q in units if q.prerequisites <= profile.known),
+        "finish": frozenset(q.id for q in units if q.objectives & profile.target and all(p != q.id for p, _ in edges)),
+    }
 
 
 # -- exact cover before the price bound --------------------------------------

@@ -57,6 +57,22 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert (summary["queries_per_s"]["unresolved"], summary["setup_s"]["unresolved"]) == (True, False)
 
 
+def test_gain_shown_takes_ten_pairs_nine_wins_and_a_median_past_the_parents_iqr():
+    def shown(parent_qps, change_qps, parent_setup, change_setup):
+        runs = [run("parent", seed, qps, setup) for seed, (qps, setup) in enumerate(zip(parent_qps, parent_setup))]
+        runs += [run("change", seed, qps, setup) for seed, (qps, setup) in enumerate(zip(change_qps, change_setup))]
+        summary = bench_pairs.summarize(runs, ["w"], END_TO_END)["w"]
+        return summary["queries_per_s"]["gain_shown"], summary["setup_s"]["gain_shown"]
+
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # median 104.5, IQR 4.5
+    setup = [1.0] * 10
+    # nine wins and one tie; set-up time is lower-better, and 0.9 s beats 1.0 s by more than an IQR of 0
+    assert shown(parent, [q + 6 for q in parent[:9]] + [109], setup, [0.9] * 10) == (True, True)
+    assert shown(parent, [q + 6 for q in parent[:8]] + [107, 108], setup, setup) == (False, False)  # eight wins
+    assert shown(parent, [q + 4 for q in parent], setup, setup) == (False, False)  # within the IQR
+    assert shown(parent[:9], [q + 6 for q in parent[:9]], setup[:9], [0.9] * 9) == (False, False)  # nine pairs
+
+
 def test_failed_runs_leave_the_summary():
     runs = [run("parent", 0, 100, 1.0), run("change", 0, 10, 9.0, exit_code=1)]
     qps = bench_pairs.summarize(runs, ["w"], END_TO_END)["w"]["queries_per_s"]
@@ -88,7 +104,8 @@ def test_main_names_the_seeds_whose_digests_differ(tmp_path, monkeypatch, capsys
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--pairs", "2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     assert json.loads(out.read_text())["digests_differ"] == {"w": [], "v": [1]}
-    assert capsys.readouterr().err.splitlines()[-1].endswith("unresolved: w queries_per_s; digests differ: v seed 1")
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "gain shown: none; unresolved: w queries_per_s; digests differ: v seed 1")
 
 
 def test_main_lists_each_sides_source_digests(tmp_path, monkeypatch, capsys):

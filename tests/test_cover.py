@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
+from contextlib import suppress
 from dataclasses import replace
 from functools import reduce
 from itertools import combinations, product
@@ -20,7 +21,9 @@ from lqplan.cover import (
     MAX_EXACT_CANDIDATES,
     ExactTooLarge,
     Infeasible,
+    IterationRecord,
     NoCover,
+    SolutionTrace,
     backward_resolve,
     minimal_cover,
     prerequisite_gap,
@@ -41,6 +44,7 @@ from lqplan.sequence import CycleDetected, Plan, build_digraph, simulate_plan, t
 from oracles import (
     best_reachable_subset,
     closure_by_rescan,
+    encode_by_intersection,
     greedy_cover,
     harmonic,
     is_irredundant,
@@ -356,6 +360,31 @@ class TestMinimalCover:
         got = minimal_cover(frozenset({"t1", "t2"}), pool, frozenset(), CoverConfig(metric=metric))
         assert got == frozenset({"A2", "B1"})
 
+    @given(st.data(), st.sampled_from(list(MinimalityMetric)))
+    @settings(max_examples=100, deadline=None)
+    def test_encoding_matches_the_intersection_reference(self, data, metric):
+        # Units deliver one to six KFs, and one delivers at least three. One
+        # delivers no target, so minimal_cover drops it and encodes again.
+        kfs = st.sampled_from(DENSE_KFS[:8])
+        targets = data.draw(st.frozensets(kfs, min_size=1))
+        weights = st.integers(min_value=0, max_value=HUGE_WEIGHT)
+        shapes = data.draw(st.lists(st.tuples(st.frozensets(kfs, min_size=1, max_size=6), weights, weights), max_size=6))
+        shapes.append((data.draw(st.frozensets(kfs, min_size=3)), data.draw(weights), data.draw(weights)))
+        stray = LearnerQuantum("stray", "s", frozenset(), {"elsewhere"}, data.draw(weights), data.draw(weights))
+        pool = [stray] + [LearnerQuantum(f"u{i}", "u", frozenset(), *shape) for i, shape in enumerate(shapes)]
+        assert cover._encode(targets, pool, metric) == encode_by_intersection(targets, pool, metric)
+        original, encoded = cover._encode, []
+
+        def recorded(targets, pool, metric):
+            result = original(targets, pool, metric)
+            encoded.append(result == encode_by_intersection(targets, pool, metric))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch, suppress(NoCover):
+            patch.setattr(cover, "_encode", recorded)
+            minimal_cover(targets, pool, frozenset(), CoverConfig(metric=metric, mode=CoverMode.GREEDY))
+        assert encoded == [True, True]
+
     def test_irrelevant_candidates_do_not_count_toward_cap(self):
         pool = tuple(
             LearnerQuantum(f"f{i:02d}", "t", frozenset(), {"other"}) for i in range(30)
@@ -583,6 +612,20 @@ class TestBackwardResolve:
         assert (second.selected, second.k) == (frozenset({"A"}), 1)
         assert second.prereq_union == frozenset({"k1"})
         assert second.residual == frozenset()
+
+    def test_solution_lists_each_rounds_ids_sorted_in_round_order(self):
+        picks = ({"C", "A"}, {"B"}, {"E", "D"})
+        trace = SolutionTrace(tuple(IterationRecord(frozenset(ids), frozenset(), frozenset()) for ids in picks))
+        assert trace.solution == ("A", "C", "B", "D", "E")
+        assert trace.cardinality == 5
+
+    def test_a_read_solution_leaves_the_trace_a_plain_value(self, d1_prime):
+        trace = backward_resolve(LearnerProfile(known={"k1"}, target={"k3"}), d1_prime)
+        unread = SolutionTrace(trace.iterations)
+        assert trace.solution is trace.solution  # derived once
+        assert trace == unread and hash(trace) == hash(unread) and repr(trace) == repr(unread)
+        assert replace(trace) == trace and replace(trace).solution == ("B", "A")
+        assert replace(trace, iterations=trace.iterations[1:]).solution == ("A",)
 
     def test_target_already_known(self, d1):
         trace = backward_resolve(LearnerProfile(known={"k1"}, target={"k1"}), d1)

@@ -6,17 +6,21 @@ from hypothesis import strategies as st
 
 from conftest import profiles, quanta_lists
 from lqplan.cover import CoverConfig, CoverMode, Infeasible, backward_resolve
-from lqplan.model import LearnerProfile, LearnerQuantum, LQDictionary, UnknownLQ
+from lqplan.generate import Flavor, GenSpec, generate
+from lqplan.model import LearnerProfile, LearnerQuantum, LQCloud, LQDictionary, LQPlanError, UnknownLQ
 from lqplan.sequence import (
     CycleDetected,
     Plan,
+    PrereqDigraph,
     build_digraph,
     digraph_to_dot,
     simulate_plan,
     topo_schedule,
 )
+from oracles import digraph_by_pairs
 
 PROFILE_K1_K3 = LearnerProfile(known={"k1"}, target={"k3"})
+GREEDY = CoverConfig(mode=CoverMode.GREEDY)
 
 
 def test_digraph_on_two_step_solution(d1_prime):
@@ -55,6 +59,57 @@ def test_digraph_unknown_id(d1):
         build_digraph(["C", "ZZ"], d1, PROFILE_K1_K3)
 
 
+@st.composite
+def digraph_cases(draw) -> tuple[list[str], LQDictionary, LearnerProfile]:
+    """A selection over a generated dictionary, with up to four more known KFs.
+
+    The selection is drawn ids (repeats allowed), or a greedy resolution's
+    pick in a drawn cloud, or drawn ids over a copy of the dictionary
+    that repeats one id with other KFs, before or after the unit that
+    first bore it: ``by_id`` keeps the later one.
+    """
+    spec = GenSpec(
+        seed=draw(st.integers(min_value=0, max_value=10**6)),
+        lq_count=draw(st.integers(min_value=1, max_value=30)),
+        kf_count=draw(st.integers(min_value=2, max_value=24)),
+        flavor=draw(st.sampled_from(list(Flavor))),
+    )
+    dictionary, profile = generate(spec)
+    kfs = sorted(frozenset().union(*(q.prerequisites | q.objectives for q in dictionary.quanta)))
+    profile = LearnerProfile(profile.known | draw(st.frozensets(st.sampled_from(kfs), max_size=4)), profile.target)
+    ids = [q.id for q in dictionary.quanta]
+    kind = draw(st.sampled_from(("drawn", "cloud", "repeated")))
+    if kind == "repeated":
+        twin = LearnerQuantum(
+            draw(st.sampled_from(ids)),
+            "twin",
+            draw(st.frozensets(st.sampled_from(kfs), max_size=3)),
+            draw(st.frozensets(st.sampled_from(kfs), min_size=1, max_size=3)),
+        )
+        at = draw(st.integers(min_value=0, max_value=len(ids)))
+        dictionary = LQDictionary(dictionary.subject, dictionary.quanta[:at] + (twin,) + dictionary.quanta[at:])
+    elif kind == "cloud":
+        members = draw(st.frozensets(st.sampled_from(ids), min_size=1))
+        dictionary = LQDictionary(dictionary.subject, dictionary.quanta, (LQCloud("drawn", members),))
+        delivered = sorted(frozenset().union(*(dictionary.by_id[i].objectives for i in members)) - profile.known)
+        if delivered:
+            target = draw(st.frozensets(st.sampled_from(delivered), min_size=1, max_size=4))
+            try:
+                trace = backward_resolve(LearnerProfile(profile.known, target), dictionary, "drawn", GREEDY)
+                return list(trace.solution), dictionary, profile
+            except LQPlanError:
+                pass
+        return sorted(members), dictionary, profile
+    return draw(st.lists(st.sampled_from(ids), max_size=12)), dictionary, profile
+
+
+@given(digraph_cases())
+@settings(max_examples=150, deadline=None)
+def test_digraph_matches_the_pairwise_oracle(case):
+    selection, dictionary, profile = case
+    assert vars(build_digraph(selection, dictionary, profile)) == digraph_by_pairs(selection, dictionary, profile)
+
+
 def test_topo_chain(d1_prime):
     graph = build_digraph(["A", "B"], d1_prime, PROFILE_K1_K3)
     plan = topo_schedule(graph, d1_prime)
@@ -77,6 +132,19 @@ def test_topo_cycle_detected(xy_pair):
         topo_schedule(graph, xy_pair)
     assert err.value.cycle == ("X", "Y")
     assert "X -> Y -> X" in str(err.value)
+
+
+def test_a_missing_placed_unit_is_reported_before_a_cycle(xy_pair):
+    # A has no incoming edge, so it is placed in stage 1; X and Y are left in a cycle
+    graph = PrereqDigraph(
+        nodes=frozenset({"A", "X", "Y"}),
+        edges=frozenset({("X", "Y"), ("Y", "X")}),
+        zero_prereq=frozenset({"A"}),
+        finish=frozenset(),
+    )
+    with pytest.raises(UnknownLQ) as err:
+        topo_schedule(graph, xy_pair)
+    assert err.value.lq_id == "A"
 
 
 def test_topo_empty_graph(d1):

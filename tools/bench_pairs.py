@@ -19,10 +19,14 @@ For every workload and end-to-end metric the summary holds each side's
 values, median and interquartile range, the pairs the change wins
 (strictly better, as the metric's ``better`` says), ``worse``: whether
 the change's median is worse than the parent's by more than the metric's
-bound, taken as a fraction of the parent's median, and ``unresolved``:
+bound, taken as a fraction of the parent's median, ``unresolved``:
 whether the parent's interquartile range is wider than that bound while
 some change run does not beat every parent run, so that the runs cannot
-tell a change within the bound from none. Beside it,
+tell a change within the bound from none, and ``gain_shown``: whether
+the runs show a gain, which takes at least ten pairs, wins in at least
+nine tenths of them (ties count for neither side), and a change median
+better than the parent's by more than the parent's interquartile range.
+Beside it,
 ``digests_differ`` lists each workload's seeds whose parent and change
 runs printed different digests: a speed change must not move a pick.
 
@@ -42,6 +46,8 @@ import time
 from pathlib import Path
 
 RUN_TIMEOUT_S = 900
+GAIN_MIN_PAIRS = 10
+GAIN_WIN_SHARE = 0.9
 
 
 def git_side(tree: Path) -> dict:
@@ -109,8 +115,9 @@ def spread(values: list[float]) -> dict:
 def summarize(runs: list[dict], workloads: list[str], end_to_end: list[dict]) -> dict:
     """Per workload and metric: both sides' values, medians and IQRs, the
     change's wins over the pairs where both sides gave the metric, whether
-    the change's median is worse than the bound allows, and whether the
-    parent's spread is too wide for the bound to decide."""
+    the change's median is worse than the bound allows, whether the
+    parent's spread is too wide for the bound to decide, and whether the
+    runs show a gain."""
     summary: dict = {}
     for workload in workloads:
         pairs: dict[int, dict[str, dict]] = {}
@@ -126,10 +133,13 @@ def summarize(runs: list[dict], workloads: list[str], end_to_end: list[dict]) ->
                     for _, p in sorted(pairs.items()) if len(p) == 2]
             wins = sum(change < parent if lower else change > parent for parent, change in both)
             parent, change = spread(values["parent"]), spread(values["change"])
-            worse = unresolved = None
+            worse = unresolved = gain_shown = None
             if parent["median"] is not None and change["median"] is not None:
                 limit = parent["median"] * (1 + metric["bound"] if lower else 1 - metric["bound"])
                 worse = change["median"] > limit if lower else change["median"] < limit
+                gain = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
+                gain_shown = (len(both) >= GAIN_MIN_PAIRS and wins >= GAIN_WIN_SHARE * len(both)
+                              and gain > parent["iqr"])
                 if lower:
                     beats_all = max(values["change"]) < min(values["parent"])
                 else:
@@ -140,6 +150,7 @@ def summarize(runs: list[dict], workloads: list[str], end_to_end: list[dict]) ->
                 "parent": {"values": values["parent"], **parent},
                 "change": {"values": values["change"], **change},
                 "pairs": len(both), "change_wins": wins, "worse": worse, "unresolved": unresolved,
+                "gain_shown": gain_shown,
             }
         summary[workload] = per_metric
     return summary
@@ -184,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     summary = summarize(runs, workloads, spec["end_to_end"])
     worse = [f"{w} {m}" for w, metrics in summary.items() for m, s in metrics.items() if s["worse"]]
     unresolved = [f"{w} {m}" for w, metrics in summary.items() for m, s in metrics.items() if s["unresolved"]]
+    gains = [f"{w} {m}" for w, metrics in summary.items() for m, s in metrics.items() if s["gain_shown"]]
     moved = digests_differ(runs, workloads)
     document = {
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "size": args.size, "trace": 0,
@@ -193,6 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
         "summary": summary,
         "worse_than_bound": worse,
+        "gain_shown": gains,
         "digests_differ": moved,
     }
     args.out.write_text(json.dumps(document, indent=1) + "\n")
@@ -203,8 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     failed = [r for r in runs if r["exit_code"] != 0 or r["result"] is None]
     differ = [f"{w} seed {', '.join(map(str, seeds))}" for w, seeds in moved.items() if seeds]
     print(f"bench_pairs: {len(runs)} runs, {len(failed)} failed; worse than bound: {', '.join(worse) or 'none'}; "
-          f"unresolved: {', '.join(unresolved) or 'none'}; digests differ: {'; '.join(differ) or 'none'}",
-          file=sys.stderr)
+          f"gain shown: {', '.join(gains) or 'none'}; unresolved: {', '.join(unresolved) or 'none'}; "
+          f"digests differ: {'; '.join(differ) or 'none'}", file=sys.stderr)
     return 1 if failed else 0
 
 
