@@ -175,9 +175,9 @@ class Scope(tuple):
 class LQDictionary:
     """All quanta available for one subject, plus optional clouds.
 
-    ``quanta`` keeps file order (and may transiently hold duplicate ids so
-    that validation can report them); ``by_id`` is a lookup cache where the
-    last occurrence of an id wins.
+    ``quanta`` keeps file order. It may repeat an id, for validation to
+    report; ``by_id`` then keeps the id's last unit, and ``scoped`` refuses
+    to plan, with the ``SchemaError`` a load gives.
     """
 
     subject: str
@@ -211,17 +211,17 @@ class LQDictionary:
     def scoped(self, scope: str | None = None) -> Scope:
         """The candidate quanta for a query: all of them, or one cloud's.
 
-        The result is compiled once per scope name and cached on the
-        dictionary, so every query on the same scope shares its maps.
+        Compiled once per scope name and cached, so queries on one scope share
+        its maps. A repeated id raises first, as in a load: one unit per id.
         """
         compiled = self._scopes.get(scope)
         if compiled is None:
-            if scope is None:
-                compiled = Scope(self.quanta)
-            else:
-                members = self.cloud(scope).member_ids
-                compiled = Scope(q for q in self.quanta if q.id in members)
-            self._scopes[scope] = compiled
+            if len(self.by_id) < len(self.quanta):
+                first = next(f for f in validate_dictionary(self) if f.code == "duplicate-id")
+                raise SchemaError(first.subject, first.message)
+            members = None if scope is None else self.cloud(scope).member_ids
+            quanta = self.quanta if members is None else [q for q in self.quanta if q.id in members]
+            compiled = self._scopes[scope] = Scope(quanta)
         return compiled
 
 

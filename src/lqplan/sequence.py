@@ -84,12 +84,11 @@ def build_digraph(
     edges. Self-loops are impossible by the same rule only when a quantum
     does not list one of its own objectives as a prerequisite, so they are
     excluded explicitly. Suppliers come from the whole dictionary's map,
-    ``dictionary.scoped().suppliers``: one counts when its id is selected
-    and ``by_id`` maps that id to it, the last unit to bear a repeated id.
+    ``dictionary.scoped().suppliers``: one counts when its id is selected.
     """
     ids = sorted(set(solution))
     quanta = list(map(dictionary.quantum, ids))
-    scope, by_id, chosen = dictionary.scoped(), dictionary.by_id, set(ids)
+    scope, chosen = dictionary.scoped(), set(ids)
     suppliers = scope.suppliers
     edges: set[tuple[str, str]] = set()
     zero_prereq: list[str] = []
@@ -100,7 +99,7 @@ def build_digraph(
         for kf in unmet:
             for i in suppliers.get(kf, ()):
                 supplier = scope[i]
-                if supplier.id in chosen and supplier is not q and by_id[supplier.id] is supplier:
+                if supplier.id in chosen and supplier is not q:
                     edges.add((supplier.id, q.id))
     sources = {src for src, _dst in edges}
     finish = frozenset(q.id for q in quanta if q.objectives & profile.target and q.id not in sources)

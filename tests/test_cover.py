@@ -32,15 +32,18 @@ from lqplan.generate import Flavor, GenSpec, generate
 from lqplan.model import (
     LearnerProfile,
     LearnerQuantum,
+    LQCloud,
     LQDictionary,
     LQPlanError,
     MinimalityMetric,
+    SchemaError,
     Scope,
     UnknownLQ,
     closure_over,
     total_weight,
+    validate_dictionary,
 )
-from lqplan.sequence import CycleDetected, Plan, build_digraph, simulate_plan, topo_schedule
+from lqplan.sequence import CycleDetected, Plan, build_digraph, plan_query, simulate_plan, topo_schedule
 from oracles import (
     best_reachable_subset,
     closure_by_rescan,
@@ -303,6 +306,22 @@ class TestMinimalCover:
         x = LearnerQuantum("X", "x", frozenset(), {"x"})
         without = minimal_cover(targets, pool, frozenset(), config)
         assert minimal_cover(targets, pool + [x], frozenset(), config) == without
+
+    @pytest.mark.parametrize("config", [EXACT, GREEDY])
+    def test_a_non_supplier_never_reaches_a_solver(self, config):
+        # within the cap: Z delivers no target, so the solvers see X and Y only
+        pool = (
+            LearnerQuantum("X", "x", frozenset(), {"b"}),
+            LearnerQuantum("Y", "y", frozenset(), {"a", "b"}),
+            LearnerQuantum("Z", "z", frozenset(), {"c"}),
+        )
+        with (
+            mock.patch.object(cover, "_greedy_cover", wraps=cover._greedy_cover) as greedy,
+            mock.patch.object(cover, "_exact_cover", wraps=cover._exact_cover) as exact,
+        ):
+            assert minimal_cover(frozenset({"a", "b"}), pool, frozenset(), config) == frozenset({"Y"})
+        calls = greedy.call_args_list + exact.call_args_list
+        assert calls and all(call.args[1] == [2, 3] for call in calls)
 
     @given(component_pools(), st.sampled_from(list(MinimalityMetric)))
     @settings(max_examples=150, deadline=None)
@@ -694,8 +713,6 @@ class TestBackwardResolve:
         assert backward_resolve(profile, d1_prime, config=config).solution == ("B", "A")
 
     def test_scope_restricts_candidates(self, d1):
-        from lqplan.model import LQCloud
-
         scoped = LQDictionary(
             subject=d1.subject,
             quanta=d1.quanta,
@@ -785,38 +802,34 @@ class TestBackwardResolve:
         assert err.value.stage == 2
         assert err.value.uncovered == frozenset({"p"})
 
-    @pytest.mark.parametrize("mode", list(CoverMode))
-    def test_repeated_id_is_dropped_by_id(self, mode):
-        # A hand-built dictionary may repeat an id (load_dictionary rejects
-        # it). Picks are reported by id, the id's last unit supplies its
-        # prerequisites and objectives, and once an id is selected no unit
-        # bearing it enters a later pool: in strict mode round 3 needs p,
-        # which the second A would supply, so B and then S come in.
+    def test_repeated_id_is_refused(self):
+        # A code-built dictionary may repeat an id, which load_dictionary
+        # refuses. Planning on it refuses it too, with the same error, and
+        # caches nothing: a second call is refused again. Were it planned,
+        # the cover would pick the first A by id for a, and ``by_id`` would
+        # resolve that id to the second A, which delivers only b.
         dictionary = LQDictionary(
             subject="repeated-id",
             quanta=(
-                LearnerQuantum("A", "first A", frozenset(), {"t", "u"}),
-                LearnerQuantum("B", "b", {"s"}, {"p"}),
-                LearnerQuantum("A", "second A", {"r"}, {"p", "q"}),
-                LearnerQuantum("R", "r", {"p"}, {"r"}),
-                LearnerQuantum("S", "s", frozenset(), {"s"}),
+                LearnerQuantum("A", "first A", frozenset(), {"a"}),
+                LearnerQuantum("A", "second A", frozenset(), {"b"}),
             ),
+            clouds=(LQCloud("c", frozenset({"A"})),),
         )
-        profile = LearnerProfile(known=frozenset(), target={"t", "u"})
-
-        def rounds(trace):
-            return [(set(r.selected), set(r.prereq_union), set(r.residual)) for r in trace.iterations]
-
-        reuse = backward_resolve(profile, dictionary, config=CoverConfig(mode=mode))
-        assert rounds(reuse) == [({"A"}, {"r"}, {"r"}), ({"R"}, {"p"}, set())]
-        assert reuse.solution == ("A", "R")
-        strict = backward_resolve(
-            profile, dictionary, config=CoverConfig(mode=mode, reuse_acquired_objectives=False)
-        )
-        assert rounds(strict) == [
-            ({"A"}, {"r"}, {"r"}), ({"R"}, {"p"}, {"p"}), ({"B"}, {"s"}, {"s"}), ({"S"}, set(), set()),
-        ]
-        assert strict.solution == ("A", "R", "B", "S")
+        profile = LearnerProfile(target={"a"})
+        calls = {
+            "backward_resolve": lambda: backward_resolve(profile, dictionary),
+            "plan_query exact": lambda: plan_query(profile, dictionary, config=EXACT),
+            "plan_query greedy": lambda: plan_query(profile, dictionary, config=GREEDY),
+            "build_digraph": lambda: build_digraph(["A"], dictionary, profile),
+            "prerequisite_gap": lambda: prerequisite_gap(profile, dictionary, "A"),
+            "scoped cloud": lambda: dictionary.scoped("c"),
+        }
+        for name, call in [*calls.items()] * 2:
+            with pytest.raises(SchemaError) as err:
+                call()
+            assert (err.value.where, err.value.reason) == ("A", "LQ id defined more than once"), name
+        assert [(f.code, f.subject) for f in validate_dictionary(dictionary)] == [("duplicate-id", "A")]
 
     @given(quanta_lists(), profiles(), st.sampled_from(["exact", "greedy"]))
     @settings(max_examples=120, deadline=None)

@@ -64,9 +64,7 @@ def digraph_cases(draw) -> tuple[list[str], LQDictionary, LearnerProfile]:
     """A selection over a generated dictionary, with up to four more known KFs.
 
     The selection is drawn ids (repeats allowed), or a greedy resolution's
-    pick in a drawn cloud, or drawn ids over a copy of the dictionary
-    that repeats one id with other KFs, before or after the unit that
-    first bore it: ``by_id`` keeps the later one.
+    pick in a drawn cloud.
     """
     spec = GenSpec(
         seed=draw(st.integers(min_value=0, max_value=10**6)),
@@ -78,17 +76,7 @@ def digraph_cases(draw) -> tuple[list[str], LQDictionary, LearnerProfile]:
     kfs = sorted(frozenset().union(*(q.prerequisites | q.objectives for q in dictionary.quanta)))
     profile = LearnerProfile(profile.known | draw(st.frozensets(st.sampled_from(kfs), max_size=4)), profile.target)
     ids = [q.id for q in dictionary.quanta]
-    kind = draw(st.sampled_from(("drawn", "cloud", "repeated")))
-    if kind == "repeated":
-        twin = LearnerQuantum(
-            draw(st.sampled_from(ids)),
-            "twin",
-            draw(st.frozensets(st.sampled_from(kfs), max_size=3)),
-            draw(st.frozensets(st.sampled_from(kfs), min_size=1, max_size=3)),
-        )
-        at = draw(st.integers(min_value=0, max_value=len(ids)))
-        dictionary = LQDictionary(dictionary.subject, dictionary.quanta[:at] + (twin,) + dictionary.quanta[at:])
-    elif kind == "cloud":
+    if draw(st.sampled_from(("drawn", "cloud"))) == "cloud":
         members = draw(st.frozensets(st.sampled_from(ids), min_size=1))
         dictionary = LQDictionary(dictionary.subject, dictionary.quanta, (LQCloud("drawn", members),))
         delivered = sorted(frozenset().union(*(dictionary.by_id[i].objectives for i in members)) - profile.known)
