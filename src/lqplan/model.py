@@ -21,7 +21,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
-from typing import IO, Callable, Iterable, Iterator, Union
+from typing import IO, Callable, Iterable, Iterator, NoReturn, Union
 
 KFSet = frozenset[str]
 
@@ -85,6 +85,29 @@ def total_weight(quanta: Iterable["LearnerQuantum"], metric: MinimalityMetric) -
     return sum(map(metric.weight, quanta))
 
 
+def _check_types(owner: object, texts: tuple[str, ...] = (), counts: tuple[str, ...] = (),
+                 kf_sets: tuple[str, ...] = (), scan: bool = True) -> None:
+    """Raise a ``TypeError`` naming ``owner``'s class and field for a text that is
+    not a ``str``, a count that is not an ``int`` or is a ``bool``, or a KF collection
+    that is a bare ``str`` or, if ``scan``, holds a non-``str``. Each KF collection
+    is stored as a frozenset; values are left to ``validate_dictionary``."""
+    def refuse(field: str, expected: str) -> NoReturn:
+        raise TypeError(f"{type(owner).__name__}.{field} must be {expected}, got {getattr(owner, field)!r}")
+
+    for field in texts:
+        if not isinstance(getattr(owner, field), str):
+            refuse(field, "a str")
+    for field in counts:
+        if not isinstance(value := getattr(owner, field), int) or isinstance(value, bool):
+            refuse(field, "an int")
+    for field in kf_sets:
+        if isinstance(getattr(owner, field), str):
+            refuse(field, "a collection of str, not a str")
+        object.__setattr__(owner, field, value := frozenset(getattr(owner, field)))
+        if scan and not all(isinstance(kf, str) for kf in value):
+            refuse(field, "a collection of str")
+
+
 @dataclass(frozen=True, slots=True)
 class LearnerQuantum:
     """One unit of study material.
@@ -96,6 +119,7 @@ class LearnerQuantum:
 
     Units are slotted: they have no ``__dict__``, so ``vars(unit)``
     raises ``TypeError``; ``dataclasses.asdict`` and ``replace`` work.
+    A wrong-typed field raises ``TypeError`` (``_check_types``).
     """
 
     id: str
@@ -106,8 +130,8 @@ class LearnerQuantum:
     cost: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prerequisites", frozenset(self.prerequisites))
-        object.__setattr__(self, "objectives", frozenset(self.objectives))
+        _check_types(self, texts=("id", "title"), counts=("duration_minutes", "cost"),
+                     kf_sets=("prerequisites", "objectives"))
 
 
 _QUANTUM_KEYS = frozenset(LearnerQuantum.__slots__)  # the keys a dictionary entry may hold
@@ -121,7 +145,7 @@ class LQCloud:
     member_ids: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "member_ids", frozenset(self.member_ids))
+        _check_types(self, texts=("name",), kf_sets=("member_ids",))
 
 
 def _positions_by_kf(groups: Iterable[KFSet]) -> dict[str, list[int]]:
@@ -175,9 +199,10 @@ class Scope(tuple):
 class LQDictionary:
     """All quanta available for one subject, plus optional clouds.
 
-    ``quanta`` keeps file order. It may repeat an id, for validation to
-    report; ``by_id`` then keeps the id's last unit, and ``scoped`` refuses
-    to plan, with the ``SchemaError`` a load gives.
+    ``quanta`` keeps file order. It may repeat an id, and ``clouds`` a
+    name, for validation to report; ``by_id`` then keeps the id's last
+    unit, and ``scoped`` refuses to plan, with the ``SchemaError`` a load
+    gives.
     """
 
     subject: str
@@ -185,6 +210,7 @@ class LQDictionary:
     clouds: tuple[LQCloud, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_types(self, texts=("subject",))
         object.__setattr__(self, "quanta", tuple(self.quanta))
         object.__setattr__(self, "clouds", tuple(self.clouds))
 
@@ -199,10 +225,16 @@ class LQDictionary:
             raise UnknownLQ(lq_id) from None
 
     def cloud(self, name: str) -> LQCloud:
-        for c in self.clouds:
-            if c.name == name:
-                return c
-        raise UnknownCloud(name)
+        """The cloud called ``name``; a name two clouds share raises the ``SchemaError`` a load gives."""
+        named = [c for c in self.clouds if c.name == name]
+        if len(named) != 1:
+            raise self._refusal("duplicate-cloud-name", name) if named else UnknownCloud(name)
+        return named[0]
+
+    def _refusal(self, code: str, subject: str | None = None) -> SchemaError:
+        """The error of validation's first ``code`` finding (on ``subject``, if given)."""
+        first = next(f for f in validate_dictionary(self) if f.code == code and subject in (None, f.subject))
+        return SchemaError(first.subject, first.message)
 
     @cached_property
     def _scopes(self) -> dict[str | None, Scope]:
@@ -213,12 +245,12 @@ class LQDictionary:
 
         Compiled once per scope name and cached, so queries on one scope share
         its maps. A repeated id raises first, as in a load: one unit per id.
+        So does a cloud name two clouds share (``cloud``): one cloud per name.
         """
         compiled = self._scopes.get(scope)
         if compiled is None:
             if len(self.by_id) < len(self.quanta):
-                first = next(f for f in validate_dictionary(self) if f.code == "duplicate-id")
-                raise SchemaError(first.subject, first.message)
+                raise self._refusal("duplicate-id")
             members = None if scope is None else self.cloud(scope).member_ids
             quanta = self.quanta if members is None else [q for q in self.quanta if q.id in members]
             compiled = self._scopes[scope] = Scope(quanta)
@@ -227,14 +259,14 @@ class LQDictionary:
 
 @dataclass(frozen=True)
 class LearnerProfile:
-    """What one learner already knows and what they are aiming for."""
+    """What one learner already knows and what they are aiming for. A bare
+    ``str`` for either set raises ``TypeError``; members go unscanned, as every query builds one."""
 
     known: KFSet = frozenset()
     target: KFSet = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "known", frozenset(self.known))
-        object.__setattr__(self, "target", frozenset(self.target))
+        _check_types(self, kf_sets=("known", "target"), scan=False)
 
 
 @dataclass(frozen=True)
@@ -251,48 +283,19 @@ class Finding:
     message: str
 
 
-def _sorted_tokens(values: Iterable[object]) -> list:
-    """Sorted as usual. A code-built set that mixes strings with other
-    values cannot be, so it lists the strings first, then the rest by repr."""
-    try:
-        return sorted(values)
-    except TypeError:
-        return sorted(values, key=lambda v: (False, v) if isinstance(v, str) else (True, repr(v)))
-
-
-def _token_fault(value: object) -> str | None:
+def _token_fault(value: str) -> str | None:
     """Why ``value`` is refused as an id, KF or cloud name, or None if it is a
     token. A lone surrogate is named first: no UTF-8 output can print it."""
-    if isinstance(value, str):
-        if _TOKEN_RE.fullmatch(value):
-            return None
-        if _SURROGATE_RE.search(value):
-            return f"{value!r} holds a lone surrogate, which is not a Unicode character"
+    if _TOKEN_RE.fullmatch(value):
+        return None
+    if _SURROGATE_RE.search(value):
+        return f"{value!r} holds a lone surrogate, which is not a Unicode character"
     return f"{value!r} is not a whitespace-free token"
 
 
-def _text_fault(value: object) -> str | None:
-    """Why ``value`` is refused as a subject or title, or None if it is fine.
-    A string is refused only for a lone surrogate."""
-    if not isinstance(value, str):
-        return f"{value!r} is not a string"
+def _text_fault(value: str) -> str | None:
+    """Why ``value`` is refused as a subject or title (a lone surrogate), or None if it is fine."""
     return None if value.isascii() or not _SURROGATE_RE.search(value) else _token_fault(value)
-
-
-def _named(value: object) -> str:
-    """A bad id, cloud name or dictionary subject as the subject of its own finding."""
-    return value if isinstance(value, str) else repr(value)
-
-
-def _is_repeat(seen: set, value: object) -> bool:
-    """Whether ``value`` is already in ``seen``, which it then joins. An
-    unhashable value, reported as a bad token already, is never a repeat."""
-    try:
-        repeat = value in seen
-    except TypeError:
-        return False
-    seen.add(value)
-    return repeat
 
 
 def _past_digit_limit(total: int) -> bool:
@@ -304,44 +307,37 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
     """Check semantic rules and return findings, worst problems as errors.
 
     Rules checked, for the subject, then in quanta order, then in cloud order:
-      - the subject and titles are strings free of lone surrogates
+      - the subject and titles are free of lone surrogates
       - ids and KFs are non-empty whitespace-free tokens, free of lone surrogates
       - every LQ has at least one objective
-      - durations and costs are non-negative integers whose column totals ``str`` can print
+      - durations and costs are non-negative, and their column totals ``str`` can print
       - an LQ does not list a KF as both prerequisite and objective
         (a warning normally, an error under ``strict``)
       - LQ ids are unique; cloud names are unique
       - every cloud member resolves to a defined LQ
 
-    A dictionary built in code never went through the file parser, so type
-    and token checks are repeated here rather than trusted. A unit's KFs
-    are sorted only to list the ones that fail.
+    The constructors check types, so every value here is typed. A dictionary
+    built in code never went through the file parser, so tokens and signs are checked here.
     """
     findings: list[Finding] = []
     if fault := _text_fault(dictionary.subject):
-        findings.append(Finding("error", "bad-subject", _named(dictionary.subject), f"subject {fault}"))
-    seen_ids: set = set()
+        findings.append(Finding("error", "bad-subject", dictionary.subject, f"subject {fault}"))
+    seen_ids: set[str] = set()
     totals = dict.fromkeys(("duration_minutes", "cost"), 0)
     for q in dictionary.quanta:
         if fault := _token_fault(q.id):
-            findings.append(Finding("error", "bad-id", _named(q.id), f"id {fault}"))
-        if _is_repeat(seen_ids, q.id):
+            findings.append(Finding("error", "bad-id", q.id, f"id {fault}"))
+        if q.id in seen_ids:
             findings.append(Finding("error", "duplicate-id", q.id, "LQ id defined more than once"))
+        seen_ids.add(q.id)
         if fault := _text_fault(q.title):
             findings.append(Finding("error", "bad-title", q.id, f"title {fault}"))
-        kfs = q.prerequisites | q.objectives
-        bad = {kf: fault for kf in kfs if (fault := _token_fault(kf))}
-        if bad:  # in the order of all the unit's KFs: a mixed-type set sorts by repr
-            findings.extend(
-                Finding("error", "bad-kf", q.id, f"knowledge factor {bad[kf]}")
-                for kf in _sorted_tokens(kfs)
-                if kf in bad
-            )
+        if bad := {kf: fault for kf in q.prerequisites | q.objectives if (fault := _token_fault(kf))}:
+            findings.extend(Finding("error", "bad-kf", q.id, f"knowledge factor {bad[kf]}") for kf in sorted(bad))
         if not q.objectives:
             findings.append(Finding("error", "empty-objectives", q.id, "objectives must be non-empty"))
         for attr, code in zip(totals, ("bad-duration", "bad-cost")):
-            value = getattr(q, attr)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if (value := getattr(q, attr)) < 0:
                 findings.append(
                     Finding("error", code, q.id, f"{attr} must be a non-negative integer, got {value!r}")
                 )
@@ -350,23 +346,23 @@ def validate_dictionary(dictionary: LQDictionary, *, strict: bool = False) -> li
         overlap = q.prerequisites & q.objectives
         if overlap:
             severity = "error" if strict else "warning"
-            listed = ", ".join(map(str, _sorted_tokens(overlap)))
             findings.append(
                 Finding(severity, "prereq-objective-overlap", q.id,
-                        f"listed as both prerequisite and objective: {listed}")
+                        f"listed as both prerequisite and objective: {', '.join(sorted(overlap))}")
             )
     for attr, total in totals.items():
         if _past_digit_limit(total):
             findings.append(Finding("error", "long-total", attr, "the sum over all units has too many digits"))
-    seen_clouds: set = set()
+    seen_clouds: set[str] = set()
     for c in dictionary.clouds:
         if fault := _token_fault(c.name):
-            findings.append(Finding("error", "bad-cloud-name", _named(c.name), f"cloud name {fault}"))
-        if _is_repeat(seen_clouds, c.name):
+            findings.append(Finding("error", "bad-cloud-name", c.name, f"cloud name {fault}"))
+        if c.name in seen_clouds:
             findings.append(Finding("error", "duplicate-cloud-name", c.name, "cloud defined more than once"))
+        seen_clouds.add(c.name)
         findings.extend(
             Finding("error", "dangling-cloud-member", c.name, f"member {member!r} is not a defined LQ")
-            for member in _sorted_tokens(c.member_ids) if member not in seen_ids
+            for member in sorted(c.member_ids - seen_ids)
         )
     return findings
 

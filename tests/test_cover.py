@@ -831,6 +831,34 @@ class TestBackwardResolve:
             assert (err.value.where, err.value.reason) == ("A", "LQ id defined more than once"), name
         assert [(f.code, f.subject) for f in validate_dictionary(dictionary)] == [("duplicate-id", "A")]
 
+    def test_ambiguous_cloud_name_is_refused(self):
+        # Two clouds named c, which load_dictionary refuses. Planning in c
+        # refuses it too, each time; it used to plan over the first c alone
+        # (A, cost 5), never seeing the cheaper B of the second.
+        dictionary = LQDictionary(
+            subject="repeated-cloud",
+            quanta=(
+                LearnerQuantum("A", "costly", frozenset(), {"t"}, cost=5),
+                LearnerQuantum("B", "cheap", frozenset(), {"t"}, cost=1),
+            ),
+            clouds=(LQCloud("c", frozenset({"A"})), LQCloud("c", frozenset({"B"}))),
+        )
+        profile = LearnerProfile(target={"t"})
+        exact, greedy = (replace(config, metric=MinimalityMetric.COST) for config in (EXACT, GREEDY))
+        calls = {
+            "backward_resolve": lambda: backward_resolve(profile, dictionary, "c", exact),
+            "plan_query exact": lambda: plan_query(profile, dictionary, "c", exact),
+            "plan_query greedy": lambda: plan_query(profile, dictionary, "c", greedy),
+            "scoped cloud": lambda: dictionary.scoped("c"),
+        }
+        for name, call in [*calls.items()] * 2:
+            with pytest.raises(SchemaError) as err:
+                call()
+            assert (err.value.where, err.value.reason) == ("c", "cloud defined more than once"), name
+        for config in (exact, greedy):
+            assert plan_query(profile, dictionary, None, config)[0].solution == ("B",)
+        assert [(f.code, f.subject) for f in validate_dictionary(dictionary)] == [("duplicate-cloud-name", "c")]
+
     @given(quanta_lists(), profiles(), st.sampled_from(["exact", "greedy"]))
     @settings(max_examples=120, deadline=None)
     def test_resolve_invariants_on_random_instances(self, quanta, profile, mode):

@@ -1,4 +1,4 @@
-"""Golden CLI corpus: the exact bytes of 405 in-process CLI runs.
+"""Golden CLI corpus: the exact bytes of 413 in-process CLI runs.
 
 Each case maps a path-free name to the SHA-256 of its exit code, stdout
 and stderr, so any change in what the CLI prints or returns shows up as a
@@ -153,6 +153,17 @@ def corpus_cases(dict_dir: Path) -> dict[str, list[str]]:
         path.write_bytes(serialize_dictionary(LQDictionary(subject=dict_name, quanta=quanta)))
         cases[f"validate {dict_name}"] = ["validate", str(path)]
         cases[f"plan {dict_name}/k1-k3 text"] = ["plan", "--dict", str(path), "--known", "k1", "--target", "k3"]
+    # rules that relate entries, which only the validator names: every load refuses both
+    for dictionary in (
+        LQDictionary(subject="empty-objectives", quanta=(a, replace(b, objectives=()), c)),
+        LQDictionary(subject="dangling-member", quanta=(a, b, c), clouds=(LQCloud("ab", {"A", "Z"}),)),
+    ):
+        path = dict_dir / f"{dictionary.subject}.json"
+        path.write_bytes(serialize_dictionary(dictionary))
+        cases[f"validate {dictionary.subject}"] = ["validate", str(path)]
+        cases[f"validate {dictionary.subject} strict"] = ["validate", str(path), "--strict"]
+        cases[f"plan {dictionary.subject}/k1-k3 text"] = ["plan", "--dict", str(path), "--known", "k1", "--target", "k3"]
+        cases[f"counsel {dictionary.subject} A text"] = ["counsel", "--dict", str(path), "--lq", "A"]
     return cases
 
 

@@ -94,8 +94,7 @@ def token_bound(dictionary) -> int:
 
 def built_in_code(data: bytes) -> LQDictionary | None:
     """The file's dictionary built without the parser, so that bad tokens
-    and counts reach the validator; None if it cannot be built or has an
-    unhashable id, which the oracle cannot look up."""
+    and counts reach the validator; None if it cannot be built."""
     try:
         doc = json.loads(data)
         dictionary = LQDictionary(
@@ -109,7 +108,6 @@ def built_in_code(data: bytes) -> LQDictionary | None:
             ),
             tuple(LQCloud(name, members) for name, members in doc.get("clouds", {}).items()),
         )
-        hash(tuple(q.id for q in dictionary.quanta))
     except (ValueError, TypeError, KeyError, AttributeError):
         return None
     return dictionary

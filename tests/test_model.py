@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import KF_POOL, make_d1_prime, profiles, quanta_lists, small_dictionaries
 from lqplan import model
 from lqplan.cover import CoverConfig, CoverMode, backward_resolve
-from lqplan.generate import GenSpec, generate
+from lqplan.generate import Flavor, GenSpec, generate
 from lqplan.model import (
     LearnerProfile,
     LearnerQuantum,
@@ -231,19 +231,17 @@ def test_validate_reports_lone_surrogates():
 
 
 def test_validate_reports_bad_subject_and_titles():
-    # the parser refuses all three in a file; built in code, they reach
-    # validate_dictionary, and an int title would break digraph_to_dot
+    # the parser refuses a lone surrogate in a file; built in code, it
+    # reaches validate_dictionary, while other non-ASCII text is fine
     d = LQDictionary(
-        subject=7,
+        subject="s" + LONE,
         quanta=(
-            LearnerQuantum("A", 7, frozenset(), frozenset({"k1"})),
             LearnerQuantum("B", "x" + LONE, frozenset(), frozenset({"k2"})),
             LearnerQuantum("C", "Café, part 2", frozenset(), frozenset({"k3"})),
         ),
     )
     assert [(f.code, f.subject, f.message) for f in validate_dictionary(d)] == [
-        ("bad-subject", "7", "subject 7 is not a string"),
-        ("bad-title", "A", "title 7 is not a string"),
+        ("bad-subject", "s" + LONE, "subject 's\\udc00' holds a lone surrogate, which is not a Unicode character"),
         ("bad-title", "B", "title 'x\\udc00' holds a lone surrogate, which is not a Unicode character"),
     ]
 
@@ -349,15 +347,21 @@ def test_load_pauses_the_collector_and_restores_it(parse, collecting, data, erro
 
 
 @pytest.mark.parametrize(
-    "source",
-    [lambda: D1_JSON, lambda: serialize_dictionary(generate(GenSpec(seed=7, lq_count=1000, kf_count=800))[0])],
-    ids=["d1", "generated-1k"],
+    "spec",
+    [None, GenSpec(seed=7, lq_count=1000, kf_count=800),
+     *(GenSpec(seed=0, lq_count=300, kf_count=240, flavor=flavor) for flavor in Flavor)],
+    ids=["d1", "generated-1k", *(f"{flavor.value}-300" for flavor in Flavor)],
 )
-def test_units_built_in_bulk_match_the_constructor(source):
-    # _bulk_accept sets each field's column without calling the constructor
-    data = source()
-    units = parse_dictionary(data).quanta
+def test_units_built_in_bulk_match_the_constructor(spec):
+    # _bulk_accept sets each field's column without calling the constructor;
+    # rebuilding a unit, or a cloud, through it changes nothing
+    data = D1_JSON if spec is None else serialize_dictionary(generate(spec)[0])
+    parsed = parse_dictionary(data)
+    units = parsed.quanta
     assert len(units) == len(json.loads(data)["quanta"])
+    assert parsed.clouds or spec.seed == 7  # seed 0 draws a cloud in every flavor
+    for cloud in parsed.clouds:
+        assert dataclasses.replace(cloud) == cloud
     for q in units:
         built = LearnerQuantum(
             q.id, q.title, sorted(q.prerequisites), set(q.objectives), q.duration_minutes, q.cost
@@ -396,54 +400,80 @@ def test_validate_flags_code_built_problems():
             LearnerQuantum("A", "t", frozenset(), frozenset({"k1"}), duration_minutes=-1),
             LearnerQuantum("A", "t2", frozenset(), frozenset()),
             LearnerQuantum("bad id", "t3", frozenset(), frozenset({"k 2"})),
-            LearnerQuantum("B", "t4", frozenset({1, "k1"}), frozenset({1, None, "k3"})),
+            LearnerQuantum("B", "t4", frozenset({"k1"}), frozenset({"k1", "k3"}), cost=-2),
         ),
-        clouds=(LQCloud("c", frozenset({"A", "missing", 1, None})), LQCloud("c", frozenset())),
+        clouds=(LQCloud("c", frozenset({"A", "missing", "gone"})), LQCloud("c", frozenset())),
     )
-    findings = validate_dictionary(d)
-    assert [f.message for f in findings if f.subject == "B"] == [
-        "knowledge factor 1 is not a whitespace-free token",
-        "knowledge factor None is not a whitespace-free token",
-        "listed as both prerequisite and objective: 1",
+    assert [(f.code, f.subject, f.message) for f in validate_dictionary(d)] == [
+        ("bad-duration", "A", "duration_minutes must be a non-negative integer, got -1"),
+        ("duplicate-id", "A", "LQ id defined more than once"),
+        ("empty-objectives", "A", "objectives must be non-empty"),
+        ("bad-id", "bad id", "id 'bad id' is not a whitespace-free token"),
+        ("bad-kf", "bad id", "knowledge factor 'k 2' is not a whitespace-free token"),
+        ("bad-cost", "B", "cost must be a non-negative integer, got -2"),
+        ("prereq-objective-overlap", "B", "listed as both prerequisite and objective: k1"),
+        ("dangling-cloud-member", "c", "member 'gone' is not a defined LQ"),
+        ("dangling-cloud-member", "c", "member 'missing' is not a defined LQ"),
+        ("duplicate-cloud-name", "c", "cloud defined more than once"),
     ]
-    assert [f.message for f in findings if f.code == "dangling-cloud-member"] == [
-        "member 'missing' is not a defined LQ",
-        "member 1 is not a defined LQ",
-        "member None is not a defined LQ",
-    ]
-    codes = {f.code for f in findings}
-    assert codes == {
-        "bad-duration",
-        "duplicate-id",
-        "empty-objectives",
-        "bad-id",
-        "bad-kf",
-        "dangling-cloud-member",
-        "duplicate-cloud-name",
-        "prereq-objective-overlap",
-    }
 
 
-def test_validate_reports_unhashable_ids_and_cloud_names():
-    d = LQDictionary(
-        subject="s",
-        quanta=(
-            LearnerQuantum(["A"], "t", frozenset(), frozenset({"k1"})),
-            LearnerQuantum(["A"], "t", frozenset(), frozenset({"k1"})),
-            LearnerQuantum("A", "t", frozenset(), frozenset({"k2"})),
-        ),
-        clouds=(LQCloud(["c"], frozenset({"A", "B"})), LQCloud(["c"], frozenset())),
-    )
-    findings = validate_dictionary(d)
-    # an unhashable value cannot be looked up, so it is never a duplicate
-    assert [(f.code, f.message) for f in findings] == [
-        ("bad-id", "id ['A'] is not a whitespace-free token"),
-        ("bad-id", "id ['A'] is not a whitespace-free token"),
-        ("bad-cloud-name", "cloud name ['c'] is not a whitespace-free token"),
-        ("dangling-cloud-member", "member 'B' is not a defined LQ"),
-        ("bad-cloud-name", "cloud name ['c'] is not a whitespace-free token"),
-    ]
-    assert [f.subject for f in findings if f.code.startswith("bad-")] == ["['A']", "['A']", "['c']", "['c']"]
+VALID_FIELDS = {
+    LearnerQuantum: {"id": "A", "title": "t", "prerequisites": (), "objectives": {"k1"}},
+    LQCloud: {"name": "c", "member_ids": {"A"}},
+    LQDictionary: {"subject": "s", "quanta": ()},
+    LearnerProfile: {},
+}
+WRONG_TYPES = [  # (class, fields of a wrong type, the field the error names); lists keep ids stable
+    (LearnerQuantum, {"id": ["A"]}, "id"),
+    (LearnerQuantum, {"id": 7}, "id"),
+    (LearnerQuantum, {"title": 7}, "title"),
+    (LearnerQuantum, {"title": None}, "title"),
+    (LearnerQuantum, {"prerequisites": "k1", "objectives": "k2"}, "prerequisites"),
+    (LearnerQuantum, {"objectives": "k2"}, "objectives"),
+    (LearnerQuantum, {"prerequisites": ["k1", 1]}, "prerequisites"),
+    (LearnerQuantum, {"objectives": ["k3", None]}, "objectives"),
+    (LearnerQuantum, {"duration_minutes": 1.5}, "duration_minutes"),
+    (LearnerQuantum, {"duration_minutes": True}, "duration_minutes"),
+    (LearnerQuantum, {"duration_minutes": "30"}, "duration_minutes"),
+    (LearnerQuantum, {"cost": None}, "cost"),
+    (LearnerQuantum, {"cost": False}, "cost"),
+    (LQCloud, {"name": ["c"]}, "name"),
+    (LQCloud, {"name": 7}, "name"),
+    (LQCloud, {"member_ids": "AB"}, "member_ids"),
+    (LQCloud, {"member_ids": ["A", 1, None]}, "member_ids"),
+    (LQDictionary, {"subject": 7}, "subject"),
+    (LQDictionary, {"subject": None}, "subject"),
+    (LearnerProfile, {"known": "k1", "target": "k2"}, "known"),
+    (LearnerProfile, {"target": "k2"}, "target"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, wrong, field", WRONG_TYPES,
+    ids=[f"{cls.__name__}-{'-'.join(f'{k}={v!r}' for k, v in wrong.items())}" for cls, wrong, _ in WRONG_TYPES],
+)
+def test_constructors_refuse_wrong_types(cls, wrong, field):
+    # what the parser refuses by type in a file is refused in code at
+    # construction, naming the class and the field; a bare string is not
+    # split into a set of its characters
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.{field} must be "):
+        cls(**{**VALID_FIELDS[cls], **wrong})
+
+
+def test_constructors_accept_typed_values():
+    # isinstance, as validation used: a str or int subclass passes, and
+    # values (tokens, signs) are left to validate_dictionary
+    class StrSubclass(str):
+        pass
+
+    unit = LearnerQuantum(StrSubclass("A"), "t", [StrSubclass("k1")], iter(["bad kf"]), -1, 2**70)
+    assert unit.prerequisites == frozenset({"k1"}) and unit.objectives == frozenset({"bad kf"})
+    assert LQCloud("c", ["A", "A"]).member_ids == frozenset({"A"})
+    profile = LearnerProfile(known=["k1"], target=("k2",))
+    assert (profile.known, profile.target) == (frozenset({"k1"}), frozenset({"k2"}))
+    d = LQDictionary("s", [unit], [LQCloud("bad name", ())])
+    assert [f.code for f in validate_dictionary(d)] == ["bad-kf", "bad-duration", "bad-cloud-name"]
 
 
 def test_profile_parsing():
